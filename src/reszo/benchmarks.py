@@ -26,7 +26,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _kernels
 from .core import BlackBoxObjective, make_rng
 
 PROBLEMS = ("ridge", "logistic", "rosenbrock", "neural_net")
@@ -34,6 +33,11 @@ PROBLEMS = ("ridge", "logistic", "rosenbrock", "neural_net")
 # Sub-stream of the seed space reserved for dataset generation (stream
 # 0 drives optimizer runs, stream 1 initial points).
 _DATASET_STREAM = 2
+
+
+def sigmoid(z):
+    # tanh form is stable for large |z|.
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
 @dataclass(frozen=True)
@@ -154,7 +158,7 @@ def _logistic_objective(s_mat, labels, lam, fstar=None, name="logistic"):
 
     def grad(x):
         z = labels * (s_mat @ x)
-        return -0.5 * (s_mat.T @ (_kernels.sigmoid(-z) * labels)) + lam * x
+        return -0.5 * (s_mat.T @ (sigmoid(-z) * labels)) + lam * x
 
     if fstar is None:
         fstar = lambda: _descend_to_optimum(value, grad, d, smoothness)
@@ -200,21 +204,29 @@ def make_logistic(spec: BenchmarkSpec) -> BlackBoxObjective:
 # -- rosenbrock --------------------------------------------------------------
 
 
+def _rosenbrock_value(x):
+    head = x[:-1]
+    q = (head + 1.0) ** 2 - x[1:] - 1.0
+    return float(np.sum(100.0 * q * q + head * head))
+
+
+def _rosenbrock_grad(x):
+    head = x[:-1]
+    q = (head + 1.0) ** 2 - x[1:] - 1.0
+    grad = np.zeros_like(x)
+    grad[:-1] = 400.0 * q * (head + 1.0) + 2.0 * head
+    grad[1:] -= 200.0 * q
+    return grad
+
+
 def make_rosenbrock(spec: BenchmarkSpec) -> BlackBoxObjective:
     """Chained quartic benchmark; gradient exact, no global smoothness."""
     if spec.problem != "rosenbrock":
         raise ValueError("spec.problem must be 'rosenbrock'")
-
-    def value(x):
-        return _kernels.rosenbrock_value(x)
-
-    def grad(x):
-        return _kernels.rosenbrock_grad(x)
-
     return BlackBoxObjective(
         spec.d,
-        value,
-        analytic_gradient=grad,
+        _rosenbrock_value,
+        analytic_gradient=_rosenbrock_grad,
         optimum_value=0.0,
         name="rosenbrock",
     )
@@ -252,9 +264,9 @@ def pack_parameters(w1, w2, w3, b1, b2, b3, w_o) -> np.ndarray:
 
 def _nn_forward(x, inputs, n):
     w1, w2, w3, b1, b2, b3, w_o = unpack_parameters(x, n)
-    a = _kernels.sigmoid(inputs @ w1.T + b1)
-    a = _kernels.sigmoid(a @ w2.T + b2)
-    a = _kernels.sigmoid(a @ w3.T + b3)
+    a = sigmoid(inputs @ w1.T + b1)
+    a = sigmoid(a @ w2.T + b2)
+    a = sigmoid(a @ w3.T + b3)
     return a @ w_o
 
 

@@ -312,7 +312,6 @@ def experiment_to_dict(exp: ExperimentConfig) -> dict:
             "adaptive_delta": opt.adaptive_delta,
             "delta_min": opt.delta_min,
             "regression_mode": opt.regression_mode,
-            "fast_path": opt.fast_path,
             "direction": opt.direction,
         },
         "trials": exp.trials,
@@ -349,7 +348,6 @@ def experiment_from_dict(data: dict) -> ExperimentConfig:
         adaptive_delta=bool(opt_d.get("adaptive_delta", False)),
         delta_min=None if opt_d.get("delta_min") is None else float(opt_d["delta_min"]),
         regression_mode=opt_d.get("regression_mode", "intercept_centered"),
-        fast_path=bool(opt_d.get("fast_path", True)),
         direction=opt_d.get("direction", "sphere"),
     )
     return ExperimentConfig(

@@ -34,6 +34,8 @@ from .sampling import get_sampler
 METHODS = ("szo", "rszo", "tzo", "l_reszo", "q_reszo")
 REGRESSION_METHODS = ("l_reszo", "q_reszo")
 
+# Code 2 belonged to the retired rank-1 inverse route; it stays reserved
+# so trials.csv files written with it still decode.
 SOLVER_PATH_CODES = {"pseudoinverse": 1, "cached_rank1": 2, "cached_moments": 3}
 SOLVER_PATH_NAMES = {v: k for k, v in SOLVER_PATH_CODES.items()}
 
@@ -60,7 +62,6 @@ class OptimizerConfig:
     adaptive_delta: bool = False
     delta_min: Optional[float] = None
     regression_mode: str = "intercept_centered"
-    fast_path: bool = True
     direction: str = "sphere"
     seed: int = 0
 
@@ -280,8 +281,7 @@ def _run_reszo(obj, cfg, x0, quadratic, diagnostics):
                 estimate = fit.g - delta_t * fit.h * u
             else:
                 fit = fit_linear(
-                    window, cfg.regression_mode, cfg.fast_path,
-                    estimate_condition=want_cond,
+                    window, cfg.regression_mode, estimate_condition=want_cond
                 )
                 estimate = fit.g
             eta_t = cfg.eta

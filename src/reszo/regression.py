@@ -8,19 +8,16 @@ supported:
   point, with an intercept column.
 * ``intercept_raw`` - rows are the raw points with an intercept
   column.  Shares its linear coefficient with the centered form on
-  full-rank windows and admits O(d^2) maintenance of the Gram inverse
-  under window swaps (the ``cached_rank1`` fast path).
+  full-rank windows.
 * ``difference_no_intercept`` - rows are differences against the
   newest point excluding it, no intercept.
 
-Fit routing: the rank-1 inverse cache serves the intercept modes and is
-health-checked against the exactly-maintained Gram on every fit (one
-step of iterative refinement); if it degrades, a reference-centered
-moment cache solves the re-centered normal equations instead
-(``cached_moments``), which stays well conditioned however far the
-window drifts from the origin.  Anything else falls back to a
-minimum-norm pseudoinverse solve; rank deficiency never raises out of
-``fit_linear``/``fit_quadratic``.
+Fit routing: a full window with capacity >= d + 1 is solved from a
+reference-centered moment cache (``cached_moments``): the re-centered
+normal equations, which stay well conditioned however far the window
+drifts from the origin.  A Gram that fails its Cholesky check, and
+every other window, falls back to a minimum-norm pseudoinverse solve;
+rank deficiency never raises out of ``fit_linear``/``fit_quadratic``.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import _kernels
 from .core import NotEnoughSamplesError, SingularUpdateError
 
 REGRESSION_MODES = ("intercept_centered", "intercept_raw", "difference_no_intercept")
@@ -40,10 +36,12 @@ REGRESSION_MODES = ("intercept_centered", "intercept_raw", "difference_no_interc
 # solve, the y-term rejects genuinely inconsistent systems.
 _SOLVE_RTOL = 1e-6
 _SOLVE_BACKWARD_TOL = 1e-9
-# Max-abs tolerance on G @ G^-1 - I when (re)building the inverse cache.
-_INVERSE_CHECK_TOL = 1e-6
-# Relative coefficient-error gate for the rank-1 fast path.
-_REFINE_TOL = 1e-6
+# Denominators below this magnitude make a rank-1 inverse update singular.
+_SWAP_SINGULAR_TOL = 1e-12
+# The moment sums are rebuilt around the newest point once the terms
+# that cancel in re-centering them outweigh the re-centered Gram's
+# trace by this factor; the shipped ridge config peaks near 15.
+_RECENTER_LIMIT = 100.0
 
 
 @dataclass
@@ -70,10 +68,14 @@ class _MomentCache:
     Centering keeps every quantity at the window-spread scale, so the
     re-centered Gram assembled from these sums stays accurate no matter
     how far the trajectory sits from the origin or how small the
-    spread gets.
+    spread gets, as long as the window stays near the reference.
+    ``mass`` sums the squared norms of every point difference that
+    entered or left ``m_mat``: the scale its rounding error follows.
     """
 
-    __slots__ = ("c_ref", "f_ref", "m_mat", "s_vec", "p_vec", "f_sum", "updates")
+    __slots__ = (
+        "c_ref", "f_ref", "m_mat", "s_vec", "p_vec", "f_sum", "mass", "updates"
+    )
 
     def __init__(self, c_ref, f_ref, m_mat, s_vec, p_vec, f_sum):
         self.c_ref = c_ref
@@ -82,17 +84,17 @@ class _MomentCache:
         self.s_vec = s_vec
         self.p_vec = p_vec
         self.f_sum = f_sum
+        self.mass = float(np.trace(m_mat))
         self.updates = 0
 
 
 class EvaluationWindow:
     """Ring buffer of the latest ``capacity`` (point, value) pairs.
 
-    Insertion past capacity drops the oldest pair and keeps the active
-    caches in sync: the raw homogeneous Gram, its X^T y vector and its
-    inverse (one rank-1 swap per insertion), and the centered moment
-    sums.  Caches are rebuilt from scratch every ``max(d, 64)``
-    updates to bound floating-point drift.
+    Insertion past capacity drops the oldest pair and keeps the
+    centered moment sums in sync (a rank-1 update per insertion).  The
+    sums are rebuilt from scratch every ``max(d, 64)`` updates to bound
+    floating-point drift.
     """
 
     def __init__(self, capacity: int, dim: int):
@@ -106,14 +108,7 @@ class EvaluationWindow:
         self._vals = np.zeros(capacity)
         self._start = 0
         self._count = 0
-        self._pushes = 0
         self._rebuild_every = max(dim, 64)
-        self._retry_cooldown = 16
-        self._inv = None  # (d+1, d+1) inverse of the raw homogeneous Gram
-        self._gram = None  # the Gram itself, rank-1 updated exactly
-        self._xty = None  # (d+1,) raw homogeneous X^T y
-        self._inv_updates = 0
-        self._inv_retry_at = 0  # push count before which rebuilds are suppressed
         self._mom: Optional[_MomentCache] = None
 
     def __len__(self) -> int:
@@ -129,7 +124,6 @@ class EvaluationWindow:
         if point.shape != (self.dim,):
             raise ValueError(f"expected point of shape ({self.dim},), got {point.shape}")
         value = float(value)
-        self._pushes += 1
         if self._count < self.capacity:
             self._pts[self._count] = point
             self._vals[self._count] = value
@@ -176,31 +170,7 @@ class EvaluationWindow:
 
     # -- caches ----------------------------------------------------------
 
-    @property
-    def cached_inverse(self) -> Optional[np.ndarray]:
-        return self._inv
-
-    def _homog(self, point) -> np.ndarray:
-        row = np.empty(self.dim + 1)
-        row[:-1] = point
-        row[-1] = 1.0
-        return row
-
     def _update_caches(self, drop_pt, drop_val, add_pt, add_val):
-        if self._inv is not None:
-            drop = self._homog(drop_pt)
-            add = self._homog(add_pt)
-            inv, status = _kernels.sm_swap(self._inv, drop, add)
-            if status != 0 or self._inv_updates + 1 >= self._rebuild_every:
-                # Singular mid-swap states are transient (the add step
-                # may restore rank) and periodic rebuilds bound drift;
-                # either way the next fit recomputes from scratch.
-                self.drop_inverse_cache()
-            else:
-                self._inv = inv
-                self._gram += np.outer(add, add) - np.outer(drop, drop)
-                self._xty += add * add_val - drop * drop_val
-                self._inv_updates += 1
         mom = self._mom
         if mom is not None:
             if mom.updates + 1 >= self._rebuild_every:
@@ -214,72 +184,35 @@ class EvaluationWindow:
                 mom.s_vec += da - dd
                 mom.p_vec += da * va - dd * vd
                 mom.f_sum += va - vd
+                mom.mass += float(da @ da + dd @ dd)
                 mom.updates += 1
 
     def inverse_cache(self):
-        """Cached (inverse, gram, X^T y) for the raw system, or None.
+        """Always None: no fit route keeps a Gram-inverse cache.
 
-        Only meaningful on a full window with capacity >= d + 1.  A
-        singular or inaccurate Gram leaves the cache unset for a
-        cooldown period, and the caller is expected to use another
-        solve route meanwhile.
+        Kept so tools that look the method up by name on the class,
+        such as span tracers, still resolve it.
         """
-        if not self.is_full or self.capacity < self.dim + 1:
-            return None
-        if self._inv is None and self._pushes >= self._inv_retry_at:
-            self._build_inverse_cache()
-        if self._inv is None:
-            return None
-        return self._inv, self._gram, self._xty
-
-    def drop_inverse_cache(self, cooldown: bool = False):
-        self._inv = None
-        self._gram = None
-        self._xty = None
-        if cooldown:
-            self._inv_retry_at = self._pushes + self._retry_cooldown
-
-    def _build_inverse_cache(self):
-        rows = np.hstack([self._pts, np.ones((self.capacity, 1))])
-        gram = rows.T @ rows
-        try:
-            inv = np.linalg.inv(gram)
-        except np.linalg.LinAlgError:
-            inv = None
-        if inv is not None and np.all(np.isfinite(inv)):
-            # A few Newton steps (V <- V(2I - GV)) square the inversion
-            # error, which matters once the window clusters far from
-            # the origin and the raw Gram turns ill-conditioned.
-            eye = np.eye(gram.shape[0])
-            err = np.inf
-            for _ in range(3):
-                residual = gram @ inv - eye
-                err = np.max(np.abs(residual))
-                if not np.isfinite(err) or err <= 1e-9:
-                    break
-                inv = inv - inv @ residual
-            else:
-                err = np.max(np.abs(gram @ inv - eye))
-            if not np.all(np.isfinite(inv)) or err > _INVERSE_CHECK_TOL:
-                inv = None
-        if inv is None:
-            self.drop_inverse_cache(cooldown=True)
-            return
-        self._inv = inv
-        self._gram = gram
-        self._xty = rows.T @ self._vals
-        self._inv_updates = 0
-        self._inv_retry_at = 0
-
-    def invalidate_caches(self):
-        self.drop_inverse_cache()
-        self._inv_retry_at = 0
-        self._mom = None
+        return None
 
     def moment_cache(self) -> Optional[_MomentCache]:
-        """Centered window sums, built lazily on a full window."""
+        """Centered window sums, built lazily on a full window.
+
+        The sums are rebuilt around the newest point when the window
+        has drifted or shrunk so far from the reference that
+        re-centering them would lose more than ``_RECENTER_LIMIT``
+        times the rounding of a fresh build.
+        """
         if not self.is_full:
             return None
+        mom = self._mom
+        if mom is not None:
+            u_vec = self.newest_point() - mom.c_ref
+            uu = float(u_vec @ u_vec)
+            m = self.capacity
+            trace = float(np.trace(mom.m_mat)) - 2.0 * float(u_vec @ mom.s_vec) + m * uu
+            if mom.mass + m * uu > _RECENTER_LIMIT * trace:
+                self._mom = None
         if self._mom is None:
             c_ref = self.newest_point().copy()
             f_ref = self.newest_value()
@@ -399,12 +332,17 @@ def rank1_swap_inverse(a_inv: np.ndarray, drop_row: np.ndarray, add_row: np.ndar
     n = a_inv.shape[0]
     if a_inv.shape != (n, n) or drop_row.shape != (n,) or add_row.shape != (n,):
         raise ValueError("inverse and rows have inconsistent shapes")
-    out, status = _kernels.sm_swap(a_inv, drop_row, add_row)
-    if status == 1:
+    # a_inv is symmetric (Gram inverses are), which both steps preserve.
+    av = a_inv @ drop_row
+    den1 = 1.0 - drop_row @ av
+    if abs(den1) < _SWAP_SINGULAR_TOL:
         raise SingularUpdateError("dropping the row makes the Gram matrix singular")
-    if status == 2:
+    b_inv = a_inv + np.outer(av, av) / den1
+    bw = b_inv @ add_row
+    den2 = 1.0 + add_row @ bw
+    if abs(den2) < _SWAP_SINGULAR_TOL:
         raise SingularUpdateError("adding the row makes the update singular")
-    return out
+    return b_inv - np.outer(bw, bw) / den2
 
 
 def estimate_condition_number(gram: np.ndarray, steps: int = 20) -> float:
@@ -435,41 +373,6 @@ def estimate_condition_number(gram: np.ndarray, steps: int = 20) -> float:
 
 
 # -- fits ------------------------------------------------------------------
-
-
-def _fit_linear_cached_raw(window: EvaluationWindow, mode: str):
-    cache = window.inverse_cache()
-    if cache is None:
-        return None
-    inv, gram, xty = cache
-    d = window.dim
-    coeffs = inv @ xty
-    # Two steps of iterative refinement against the exactly-maintained
-    # Gram; the second correction's size gauges the residual error of
-    # the returned coefficients and doubles as a health check on the
-    # drifting inverse.
-    coeffs = coeffs - inv @ (gram @ coeffs - xty)
-    correction = inv @ (gram @ coeffs - xty)
-    coeffs = coeffs - correction
-    ok = np.all(np.isfinite(coeffs)) and float(
-        np.linalg.norm(correction)
-    ) <= _REFINE_TOL * float(np.linalg.norm(coeffs))
-    if not ok:
-        # Cool down only when a fresh rebuild is already this bad.
-        window.drop_inverse_cache(cooldown=window._inv_updates == 0)
-        return None
-    g = coeffs[:d].copy()
-    c_raw = float(coeffs[d])
-    resid = window._pts @ g + c_raw - window._vals
-    resid_norm = float(np.linalg.norm(resid))
-    if mode == "intercept_raw":
-        c = c_raw
-    else:
-        # Same fit re-expressed around the newest point; residuals match.
-        c = c_raw + float(g @ window.newest_point()) - window.newest_value()
-    fit = SurrogateFit(g, None, c, resid_norm, "cached_rank1")
-    fit._cond_matrix = inv  # cond(G^-1) == cond(G)
-    return fit
 
 
 def _fit_linear_cached_moments(window: EvaluationWindow, mode: str):
@@ -517,7 +420,8 @@ def _fit_linear_cached_moments(window: EvaluationWindow, mode: str):
             c = c_delta
         else:
             c = c_delta - float(g @ x_new) + f_new
-    resid = (window._pts @ g - float(x_new @ g) + c_delta) - (window._vals - f_new)
+    # Differences, not raw points: a window far from the origin keeps its digits.
+    resid = (window._pts - x_new) @ g + c_delta - (window._vals - f_new)
     resid_norm = float(np.linalg.norm(resid))
     fit = SurrogateFit(np.asarray(g), None, c, resid_norm, "cached_moments")
     fit._cond_matrix = full_gram
@@ -527,29 +431,25 @@ def _fit_linear_cached_moments(window: EvaluationWindow, mode: str):
 def fit_linear(
     window: EvaluationWindow,
     mode: str = "intercept_centered",
-    use_fast_path: bool = True,
+    *,
     estimate_condition: bool = False,
 ) -> SurrogateFit:
     """Fit the linear surrogate on the current window.
 
-    The fast path is taken when the window is full and a cache is
-    healthy; otherwise the assembled system is solved by minimum-norm
-    pseudoinverse.  Rank deficiency therefore degrades the solver
-    path, never raises.
+    A full window with capacity >= d + 1 is solved from the moment
+    cache when its Gram passes a Cholesky check; otherwise the
+    assembled system is solved by minimum-norm pseudoinverse.  Rank
+    deficiency therefore degrades the solver path, never raises.
     """
     _require_samples(window)
     if mode not in REGRESSION_MODES:
         raise ValueError(f"unknown regression mode {mode!r}")
     d = window.dim
     fit = None
-    if use_fast_path and window.is_full:
-        if mode in ("intercept_centered", "intercept_raw"):
-            if window.capacity >= d + 1:
-                fit = _fit_linear_cached_raw(window, mode)
-                if fit is None:
-                    fit = _fit_linear_cached_moments(window, mode)
-        elif window.capacity - 1 >= d:
-            fit = _fit_linear_cached_moments(window, mode)
+    # Intercept modes need m >= d + 1 rows for a nonsingular Gram;
+    # difference mode drops the newest row and needs m - 1 >= d.
+    if window.is_full and window.capacity >= d + 1:
+        fit = _fit_linear_cached_moments(window, mode)
     if fit is None:
         x_mat, y_vec = assemble_linear_system(window, mode)
         coeffs, resid_norm = solve_least_squares(x_mat, y_vec)

@@ -15,6 +15,7 @@ from reszo.benchmarks import (
     _layer_width,
     _nn_data,
     pack_parameters,
+    sigmoid,
     unpack_parameters,
 )
 
@@ -219,3 +220,11 @@ class TestDumpLoad:
         if spec.problem == "ridge":
             assert original.optimum_value == rebuilt.optimum_value
             assert original.smoothness_L == rebuilt.smoothness_L
+
+
+def test_sigmoid_stable_at_extremes():
+    z = np.array([-800.0, -50.0, 0.0, 50.0, 800.0])
+    s = sigmoid(z)
+    assert np.all(np.isfinite(s))
+    assert s[0] == 0.0 and s[-1] == 1.0
+    assert s[2] == 0.5

@@ -36,6 +36,14 @@ def svd_pinv_solve(x_mat, y_vec):
     return vt.T @ (s_inv * (u.T @ (x_mat.T @ y_vec)))
 
 
+def reference_fit(win, mode):
+    """(g, c, residual_norm) from the pseudoinverse solve of the assembled system."""
+    coeffs, resid_norm = solve_least_squares(*assemble_linear_system(win, mode))
+    if mode == "difference_no_intercept":
+        return coeffs, None, resid_norm
+    return coeffs[:-1], float(coeffs[-1]), resid_norm
+
+
 class TestWindow:
     def test_capacity_drops_oldest(self):
         win = EvaluationWindow(3, 1)
@@ -61,20 +69,6 @@ class TestWindow:
     def test_spread(self):
         win = window_from([[0.0], [3.0], [1.0]], [0, 0, 0])
         assert win.spread() == pytest.approx(2.0)
-
-    def test_cached_inverse_tracks_direct_inverse(self):
-        rng = make_rng(17)
-        d, m = 4, 7
-        win = EvaluationWindow(m, d)
-        for _ in range(m):
-            win.push(rng.standard_normal(d), rng.standard_normal())
-        fit_linear(win, "intercept_raw", use_fast_path=True)
-        for _ in range(30):
-            win.push(rng.standard_normal(d), rng.standard_normal())
-            fit_linear(win, "intercept_raw", use_fast_path=True)
-            rows = np.hstack([win.points(), np.ones((m, 1))])
-            direct = np.linalg.inv(rows.T @ rows)
-            assert np.max(np.abs(win.cached_inverse - direct)) <= 1e-6
 
 
 class TestAssembly:
@@ -214,11 +208,11 @@ class TestFitLinear:
         pts = rng.standard_normal((d + 2, d))
         win = affine_window(a, 1.5, pts)
         for mode in ("intercept_centered", "intercept_raw", "difference_no_intercept"):
-            fit = fit_linear(win, mode, use_fast_path=False)
-            assert np.max(np.abs(fit.g - a)) <= 1e-8
-            assert fit.residual_norm <= 1e-8
-        fit = fit_linear(win, "intercept_raw", use_fast_path=False)
-        assert fit.c == pytest.approx(1.5, abs=1e-8)
+            g, _, resid_norm = reference_fit(win, mode)
+            assert np.max(np.abs(g - a)) <= 1e-8
+            assert resid_norm <= 1e-8
+        _, c, _ = reference_fit(win, "intercept_raw")
+        assert c == pytest.approx(1.5, abs=1e-8)
 
     def test_centered_and_raw_agree_on_g(self):
         rng = make_rng(32)
@@ -226,8 +220,8 @@ class TestFitLinear:
         pts = rng.standard_normal((8, d))
         vals = rng.standard_normal(8)
         win = window_from(pts, vals, dim=d)
-        g_cen = fit_linear(win, "intercept_centered", use_fast_path=False).g
-        g_raw = fit_linear(win, "intercept_raw", use_fast_path=False).g
+        g_cen, _, _ = reference_fit(win, "intercept_centered")
+        g_raw, _, _ = reference_fit(win, "intercept_raw")
         assert np.max(np.abs(g_cen - g_raw)) <= 1e-8
 
     def test_underdetermined_min_norm_gradient(self):
@@ -237,8 +231,8 @@ class TestFitLinear:
         p1 = p0 + np.array([0.5, 0.0])
         f = lambda p: p[0] + p[1]
         win = window_from([p0, p1], [f(p0), f(p1)], dim=2)
-        fit = fit_linear(win, "intercept_centered", use_fast_path=False)
-        np.testing.assert_allclose(fit.g, [1.0, 0.0], atol=1e-8)
+        g, _, _ = reference_fit(win, "intercept_centered")
+        np.testing.assert_allclose(g, [1.0, 0.0], atol=1e-8)
 
     def test_fast_path_matches_pseudoinverse(self):
         rng = make_rng(33)
@@ -248,24 +242,19 @@ class TestFitLinear:
         for _ in range(m + 6):
             p = rng.standard_normal(d)
             win.push(p, f(p))
-        for mode, path in [
-            ("intercept_centered", "cached_rank1"),
-            ("intercept_raw", "cached_rank1"),
-            ("difference_no_intercept", "cached_moments"),
-        ]:
-            fast = fit_linear(win, mode, use_fast_path=True)
-            slow = fit_linear(win, mode, use_fast_path=False)
-            assert fast.solver_path == path
-            assert slow.solver_path == "pseudoinverse"
-            assert np.max(np.abs(fast.g - slow.g)) <= 1e-6
+        for mode in ("intercept_centered", "intercept_raw", "difference_no_intercept"):
+            fast = fit_linear(win, mode)
+            g, c, resid_norm = reference_fit(win, mode)
+            assert fast.solver_path == "cached_moments"
+            assert np.max(np.abs(fast.g - g)) <= 1e-6
             if fast.c is not None:
-                assert fast.c == pytest.approx(slow.c, abs=1e-6)
-            assert fast.residual_norm == pytest.approx(slow.residual_norm, abs=1e-8)
+                assert fast.c == pytest.approx(c, abs=1e-6)
+            assert fast.residual_norm == pytest.approx(resid_norm, abs=1e-8)
 
     def test_rank_deficiency_falls_back_silently(self):
         # All points identical: every Gram is singular.
         win = window_from(np.zeros((4, 2)), np.zeros(4), dim=2)
-        fit = fit_linear(win, "intercept_centered", use_fast_path=True)
+        fit = fit_linear(win, "intercept_centered")
         assert fit.solver_path == "pseudoinverse"
         np.testing.assert_allclose(fit.g, np.zeros(2), atol=1e-12)
 
@@ -275,13 +264,11 @@ class TestFitLinear:
         pts = rng.standard_normal((7, d))
         vals = rng.standard_normal(7)
         for mode in ("intercept_centered", "intercept_raw", "difference_no_intercept"):
-            base = fit_linear(window_from(pts, vals, dim=d), mode, use_fast_path=False)
-            shifted = fit_linear(
-                window_from(pts, vals + 100.0, dim=d), mode, use_fast_path=False
-            )
-            assert np.max(np.abs(base.g - shifted.g)) <= 1e-9
+            g, c, _ = reference_fit(window_from(pts, vals, dim=d), mode)
+            g_shift, c_shift, _ = reference_fit(window_from(pts, vals + 100.0, dim=d), mode)
+            assert np.max(np.abs(g - g_shift)) <= 1e-9
             if mode == "intercept_raw":
-                assert shifted.c == pytest.approx(base.c + 100.0, abs=1e-9)
+                assert c_shift == pytest.approx(c + 100.0, abs=1e-9)
 
     def test_residual_norm_matches_assembled_system(self):
         rng = make_rng(35)
@@ -292,15 +279,72 @@ class TestFitLinear:
             p = rng.standard_normal(d)
             win.push(p, f(p))
         for mode in ("intercept_centered", "intercept_raw", "difference_no_intercept"):
-            fit = fit_linear(win, mode, use_fast_path=True)
+            fit = fit_linear(win, mode)
             x_mat, y_vec = assemble_linear_system(win, mode)
             coeffs = fit.g if fit.c is None else np.append(fit.g, fit.c)
-            # Raw-mode fast path reports the raw intercept; centered c
-            # differs, so rebuild the matching coefficient vector.
-            if mode == "intercept_centered" and fit.solver_path == "cached_rank1":
-                coeffs = np.append(fit.g, fit.c)
             direct = float(np.linalg.norm(x_mat @ coeffs - y_vec))
             assert fit.residual_norm == pytest.approx(direct, abs=1e-8)
+
+
+def adversarial_stream(rng, d, n):
+    """Points in 40-push phases: near the origin, a tight cluster at
+    |x| = 1e4 with spread 1e-3, the same cluster with every point pushed
+    twice, then back near the origin."""
+    far = np.full(d, 1e4 / np.sqrt(d))
+    pushed = 0
+    while pushed < n:
+        phase = (pushed // 40) % 4
+        if phase in (0, 3):
+            p = rng.standard_normal(d)
+        else:
+            p = far + 1e-3 * rng.standard_normal(d)
+        for _ in range(2 if phase == 2 else 1):
+            yield p.copy()
+            pushed += 1
+
+
+def test_cached_route_matches_lstsq_on_adversarial_windows():
+    # Every fit, whichever route serves it, must agree with lstsq on the
+    # assembled system up to the normal-equations error bound
+    # eps * kappa^2 * (|coeffs| + |y| / sigma_max), kappa = cond(X).  The
+    # factor allows for re-centering the moment sums and for dimension.
+    # Windows of capacity < d + 1 take the pseudoinverse route; the rest
+    # take the moment cache, pushed past two periodic rebuilds.
+    eps = np.finfo(float).eps
+    factor = 1e3
+    routes = set()
+    for d, capacity in [(2, 3), (3, 6), (4, 4), (5, 12)]:
+        rng = make_rng(60 + d)
+        a = rng.standard_normal(d)
+        win = EvaluationWindow(capacity, d)
+        pushes = 2 * max(d, 64) + 60
+        for p in adversarial_stream(rng, d, pushes):
+            win.push(p, float(a @ p + 0.1 * np.sin(p).sum()))
+            if len(win) < 2:
+                continue
+            for mode in ("intercept_centered", "intercept_raw", "difference_no_intercept"):
+                fit = fit_linear(win, mode)
+                routes.add((mode, fit.solver_path))
+                x_mat, y_vec = assemble_linear_system(win, mode)
+                ref, _, _, sv = np.linalg.lstsq(x_mat, y_vec, rcond=None)
+                with np.errstate(divide="ignore", over="ignore"):
+                    kappa = sv[0] / sv[-1]
+                    tol = factor * eps * kappa**2 * (
+                        np.linalg.norm(ref) + np.linalg.norm(y_vec) / sv[0]
+                    )
+                if not np.isfinite(tol):
+                    continue  # rank deficient: every bound is vacuous
+                ref_resid = float(np.linalg.norm(x_mat @ ref - y_vec))
+                if mode == "difference_no_intercept":
+                    assert fit.c is None
+                    ref_g = ref
+                else:
+                    ref_g = ref[:-1]
+                    assert abs(fit.c - ref[-1]) <= tol, (d, capacity, mode)
+                assert np.max(np.abs(fit.g - ref_g)) <= tol, (d, capacity, mode)
+                assert abs(fit.residual_norm - ref_resid) <= sv[0] * tol
+    for mode in ("intercept_centered", "intercept_raw", "difference_no_intercept"):
+        assert {(mode, "cached_moments"), (mode, "pseudoinverse")} <= routes
 
 
 class TestFitQuadratic:
@@ -352,9 +396,15 @@ def test_fit_records_condition_estimate():
         p = rng.standard_normal(d)
         win.push(p, float(p @ p))
     for mode in ("intercept_centered", "difference_no_intercept"):
-        fit = fit_linear(win, mode, use_fast_path=True, estimate_condition=True)
+        fit = fit_linear(win, mode, estimate_condition=True)
+        assert fit.solver_path == "cached_moments"
         assert fit.cond_estimate is not None and fit.cond_estimate >= 1.0
-    fit = fit_linear(win, "intercept_centered", use_fast_path=False, estimate_condition=True)
+    # A window not yet full takes the pseudoinverse route.
+    partial = EvaluationWindow(m, d)
+    for p in win.points()[:6]:
+        partial.push(p, float(p @ p))
+    fit = fit_linear(partial, "intercept_centered", estimate_condition=True)
+    assert fit.solver_path == "pseudoinverse"
     assert fit.cond_estimate is not None and fit.cond_estimate >= 1.0
     assert fit_quadratic(win, estimate_condition=True).cond_estimate >= 1.0
 
@@ -373,10 +423,10 @@ def test_difference_fit_residual_within_taylor_bound():
     captured = []
     orig = reg.fit_linear
 
-    def capture(window, mode="intercept_centered", use_fast_path=True, estimate_condition=False):
+    def capture(window, mode="intercept_centered", *, estimate_condition=False):
         if window.is_full and len(captured) < 50:
             captured.append((window.points().copy(), window.values().copy()))
-        return orig(window, mode, use_fast_path, estimate_condition)
+        return orig(window, mode, estimate_condition=estimate_condition)
 
     opt.fit_linear = capture
     try:
@@ -390,8 +440,8 @@ def test_difference_fit_residual_within_taylor_bound():
     assert len(captured) == 50
     for pts, vals in captured:
         win = window_from(pts, vals, dim=pts.shape[1])
-        fit = fit_linear(win, "difference_no_intercept", use_fast_path=False)
+        g, _, _ = reference_fit(win, "difference_no_intercept")
         x_mat, y_vec = assemble_linear_system(win, "difference_no_intercept")
-        residual = x_mat @ fit.g - y_vec
+        residual = x_mat @ g - y_vec
         bound = 0.5 * smoothness * max(float(row @ row) for row in x_mat)
         assert np.max(np.abs(residual)) <= bound
