@@ -2,7 +2,7 @@
 
 Datasets are pure functions of the benchmark spec: the same (problem,
 d, N, lambda, seed) always yields bit-identical data.  Generated
-arrays are cached per spec and marked read-only so concurrent trials
+arrays are cached per spec and marked read-only so that objectives
 can share them; each objective instance carries its own query counter.
 
 Problems:

@@ -49,8 +49,6 @@ def _apply_overrides(exp: ExperimentConfig, args) -> ExperimentConfig:
         updates["output_path"] = args.output
     if getattr(args, "stride", None) is not None:
         updates["stride"] = args.stride
-    if getattr(args, "workers", None) is not None:
-        updates["workers"] = args.workers
     return replace(exp, **updates) if updates else exp
 
 
@@ -81,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one experiment and export its curves")
     p_run.add_argument("--config", required=True, help="JSON config or manifest path")
     p_run.add_argument("--stride", type=int, default=None, help="export row subsampling")
-    p_run.add_argument("--workers", type=int, default=None, help="concurrent trial workers")
     _add_common(p_run)
 
     p_grid = sub.add_parser("grid", help="grid-search step size and smoothing radius")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -20,7 +19,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .benchmarks import BenchmarkSpec, initial_point, make_objective
-from .core import DivergenceError, ExperimentFailedError, make_rng
+from .core import BlackBoxObjective, DivergenceError, ExperimentFailedError, make_rng
 from .diagnostics import DiagnosticsCollector
 from .optimizers import (
     REGRESSION_METHODS,
@@ -39,7 +38,6 @@ class ExperimentConfig:
     confidence: float = 0.8
     record_diagnostics: bool = False
     output_path: Optional[str] = None
-    workers: int = 1
     stride: int = 1
 
     def __post_init__(self):
@@ -47,8 +45,6 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must lie in (0, 1)")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
 
@@ -58,6 +54,8 @@ class TrialResult:
     index: int
     seed: int
     trace: RunTrace
+    # The DivergenceError message of a diverged trial, None otherwise.
+    divergence_reason: Optional[str] = None
 
     @property
     def diverged(self) -> bool:
@@ -79,21 +77,21 @@ class AggregateCurve:
         return len(self.queries)
 
 
-def _run_single_trial(exp: ExperimentConfig, k: int) -> TrialResult:
+def _run_single_trial(exp: ExperimentConfig, obj: BlackBoxObjective, k: int) -> TrialResult:
     seed = exp.base_seed + k
-    obj = make_objective(exp.benchmark)
     x0 = initial_point(exp.benchmark, make_rng(seed, stream=1))
     cfg = replace(exp.optimizer, seed=seed)
     collector = None
     if exp.record_diagnostics and cfg.method in REGRESSION_METHODS:
         collector = DiagnosticsCollector(obj, track_cd=(cfg.method == "l_reszo"))
+    reason = None
     try:
         trace = run_optimizer(obj, cfg, x0, diagnostics=collector)
     except DivergenceError as exc:
-        trace = exc.trace
+        trace, reason = exc.trace, str(exc)
         if collector is not None and trace is not None:
             collector.attach_to_trace(trace)
-    return TrialResult(index=k, seed=seed, trace=trace)
+    return TrialResult(index=k, seed=seed, trace=trace, divergence_reason=reason)
 
 
 def aggregate_trials(
@@ -139,19 +137,16 @@ def aggregate_trials(
 def run_experiment(exp: ExperimentConfig):
     """Run all trials; returns (trial results, aggregate curve).
 
-    Raises ExperimentFailedError when every trial diverged.
+    Trials run one after another over one objective; each driver counts
+    its queries from the counter's value at its start.  Raises
+    ExperimentFailedError when every trial diverged.
     """
-    if exp.workers > 1:
-        with ThreadPoolExecutor(max_workers=exp.workers) as pool:
-            results = list(pool.map(lambda k: _run_single_trial(exp, k), range(exp.trials)))
-    else:
-        results = [_run_single_trial(exp, k) for k in range(exp.trials)]
+    obj = make_objective(exp.benchmark)
+    results = [_run_single_trial(exp, obj, k) for k in range(exp.trials)]
     if all(r.diverged for r in results):
-        detail = ", ".join(
-            f"trial {r.index} at iteration {r.trace.divergence_iteration}" for r in results
-        )
+        detail = "; ".join(f"trial {r.index}: {r.divergence_reason}" for r in results)
         raise ExperimentFailedError(f"all {exp.trials} trial(s) diverged ({detail})")
-    fstar = make_objective(exp.benchmark).optimum_value
+    fstar = obj.optimum_value
     if fstar is None:
         fstar = 0.0
     curve = aggregate_trials([r.trace for r in results], exp.confidence, fstar)
@@ -319,7 +314,6 @@ def experiment_to_dict(exp: ExperimentConfig) -> dict:
         "confidence": exp.confidence,
         "record_diagnostics": exp.record_diagnostics,
         "output_path": exp.output_path,
-        "workers": exp.workers,
         "stride": exp.stride,
     }
 
@@ -358,7 +352,6 @@ def experiment_from_dict(data: dict) -> ExperimentConfig:
         confidence=float(data.get("confidence", 0.8)),
         record_diagnostics=bool(data.get("record_diagnostics", False)),
         output_path=data.get("output_path"),
-        workers=int(data.get("workers", 1)),
         stride=int(data.get("stride", 1)),
     )
 

@@ -218,6 +218,7 @@ def figure_one_curves():
     return curves, gap_at_m
 
 
+@pytest.mark.slow
 def test_criterion_05_desk_scale_method_comparison(figure_one_curves):
     t0 = time.time()
     curves, gap_at_m = figure_one_curves
@@ -316,6 +317,7 @@ def test_criterion_06_perturbation_ablation():
     assert elapsed < 600
 
 
+@pytest.mark.slow
 def test_criterion_07_ratio_scaling_study():
     t0 = time.time()
     # Reference single-trial statistics for the ridge problem.

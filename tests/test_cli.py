@@ -48,10 +48,22 @@ def test_run_accepts_manifest_as_config(tmp_path):
     cfg = write_config(tmp_path / "cfg.json")
     out1 = tmp_path / "out1"
     main(["run", "--config", str(cfg), "--output", str(out1)])
-    out2 = tmp_path / "out2"
-    code = main(["run", "--config", str(out1 / "manifest.json"), "--output", str(out2)])
-    assert code == 0
-    assert (out1 / "curve.csv").read_bytes() == (out2 / "curve.csv").read_bytes()
+    # Configs and manifests written before the "workers" key was retired
+    # still load; the key is ignored.
+    old_cfg = write_config(tmp_path / "old_cfg.json", workers=1)
+    manifest = json.loads((out1 / "manifest.json").read_text())
+    manifest["config"]["workers"] = 1
+    old_manifest = tmp_path / "old_manifest.json"
+    old_manifest.write_text(json.dumps(manifest))
+    for name, path in [
+        ("out2", out1 / "manifest.json"),
+        ("out3", old_cfg),
+        ("out4", old_manifest),
+    ]:
+        out = tmp_path / name
+        assert main(["run", "--config", str(path), "--output", str(out)]) == 0
+        for csv_name in ("curve.csv", "trials.csv"):
+            assert (out1 / csv_name).read_bytes() == (out / csv_name).read_bytes()
 
 
 def test_flag_overrides_change_seed(tmp_path):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import reszo.harness
 from reszo import (
     AggregateCurve,
     BenchmarkSpec,
@@ -16,6 +17,7 @@ from reszo import (
     export_results,
     grid_search,
     load_curve_csv,
+    make_objective,
     merge_curves,
     run_experiment,
 )
@@ -126,11 +128,20 @@ class TestRunExperiment:
         _, b = run_experiment(small_experiment())
         np.testing.assert_array_equal(a.mean_gap, b.mean_gap)
 
-    def test_workers_do_not_change_results(self):
-        _, a = run_experiment(small_experiment())
-        _, b = run_experiment(small_experiment(workers=3))
-        np.testing.assert_array_equal(a.mean_gap, b.mean_gap)
-        np.testing.assert_array_equal(a.ci_low, b.ci_low)
+    def test_one_objective_per_experiment(self, monkeypatch):
+        calls = []
+
+        def counting(spec):
+            calls.append(spec)
+            return make_objective(spec)
+
+        monkeypatch.setattr(reszo.harness, "make_objective", counting)
+        results, _ = run_experiment(small_experiment(trials=3))
+        assert len(calls) == 1
+        # Each trial counts only its own queries on the shared counter.
+        single, _ = run_experiment(small_experiment(trials=1))
+        for res in results:
+            np.testing.assert_array_equal(res.trace.queries, single[0].trace.queries)
 
     def test_all_diverged_raises_experiment_failed(self):
         exp = small_experiment(
@@ -139,8 +150,10 @@ class TestRunExperiment:
             ),
             trials=2,
         )
-        with pytest.raises(ExperimentFailedError):
+        with pytest.raises(ExperimentFailedError, match=r"\|f\| exceeded 1e\+12") as err:
             run_experiment(exp)
+        assert "trial 0: run diverged at iteration" in str(err.value)
+        assert "trial 1: run diverged at iteration" in str(err.value)
 
     def test_surviving_trials_unaffected_by_divergent_ones(self):
         # A diverging configuration for some seeds must not perturb the
@@ -234,7 +247,7 @@ class TestExport:
 
 
 def test_experiment_dict_roundtrip():
-    exp = small_experiment(record_diagnostics=True, stride=2, workers=2)
+    exp = small_experiment(record_diagnostics=True, stride=2)
     again = experiment_from_dict(experiment_to_dict(exp))
     assert again == exp
 
