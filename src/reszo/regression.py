@@ -15,9 +15,11 @@ supported:
 Fit routing: a full window with capacity >= d + 1 is solved from a
 reference-centered moment cache (``cached_moments``): the re-centered
 normal equations, which stay well conditioned however far the window
-drifts from the origin.  A Gram that fails its Cholesky check, and
-every other window, falls back to a minimum-norm pseudoinverse solve;
-rank deficiency never raises out of ``fit_linear``/``fit_quadratic``.
+drifts from the origin.  One Cholesky factorization of that Gram,
+bordered by its right-hand side, both checks it and solves it.  A Gram
+that fails the factorization, and every other window, falls back to a
+minimum-norm pseudoinverse solve; rank deficiency never raises out of
+``fit_linear``/``fit_quadratic``.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ _SWAP_SINGULAR_TOL = 1e-12
 # that cancel in re-centering them outweigh the re-centered Gram's
 # trace by this factor; the shipped ridge config peaks near 15.
 _RECENTER_LIMIT = 100.0
+# Diagonal block size of the blocked triangular solve.
+_SUBSTITUTION_BLOCK = 64
 
 
 @dataclass
@@ -92,9 +96,9 @@ class EvaluationWindow:
     """Ring buffer of the latest ``capacity`` (point, value) pairs.
 
     Insertion past capacity drops the oldest pair and keeps the
-    centered moment sums in sync (a rank-1 update per insertion).  The
-    sums are rebuilt from scratch every ``max(d, 64)`` updates to bound
-    floating-point drift.
+    centered moment sums in sync (the second moments take one in-place
+    rank-2 update per insertion).  The sums are rebuilt from scratch
+    every ``max(d, 64)`` updates to bound floating-point drift.
     """
 
     def __init__(self, capacity: int, dim: int):
@@ -166,7 +170,8 @@ class EvaluationWindow:
     def spread(self) -> float:
         """Largest distance from any stored point to the newest one."""
         diffs = self._pts[: self._count] - self.newest_point()
-        return float(np.sqrt(np.max(np.sum(diffs * diffs, axis=1))))
+        np.square(diffs, out=diffs)
+        return float(np.sqrt(np.max(diffs.sum(axis=1))))
 
     # -- caches ----------------------------------------------------------
 
@@ -180,7 +185,7 @@ class EvaluationWindow:
                 dd = drop_pt - mom.c_ref
                 va = add_val - mom.f_ref
                 vd = drop_val - mom.f_ref
-                mom.m_mat += np.outer(da, da) - np.outer(dd, dd)
+                mom.m_mat += np.stack((da, -dd), 1) @ np.stack((da, dd))
                 mom.s_vec += da - dd
                 mom.p_vec += da * va - dd * vd
                 mom.f_sum += va - vd
@@ -375,43 +380,70 @@ def estimate_condition_number(gram: np.ndarray, steps: int = 20) -> float:
 # -- fits ------------------------------------------------------------------
 
 
+def _back_substitute(upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``upper @ x = rhs`` for upper-triangular ``upper`` in O(n^2).
+
+    numpy has no triangular solve, so the system is cut into diagonal
+    blocks of ``_SUBSTITUTION_BLOCK`` solved bottom-up: one GEMV folds
+    the solved tail into each block's right-hand side, and
+    ``np.linalg.solve`` finishes the small triangular block (its
+    partial pivoting never swaps rows of a nonsingular triangle).
+    """
+    n = rhs.shape[0]
+    x = np.empty(n)
+    block = _SUBSTITUTION_BLOCK
+    for start in range((n - 1) // block * block, -1, -block):
+        stop = min(start + block, n)
+        part = rhs[start:stop] - upper[start:stop, stop:] @ x[stop:]
+        x[start:stop] = np.linalg.solve(upper[start:stop, start:stop], part)
+    return x
+
+
 def _fit_linear_cached_moments(window: EvaluationWindow, mode: str):
+    """Solve the normal equations from the moment cache.
+
+    Returns ``(fit, gram)`` with ``gram`` the k x k normal matrix, or
+    None when the cache is unavailable or the factorization fails.
+    """
     mom = window.moment_cache()
     if mom is None:
         return None
     m = window.capacity
-    u_vec = window.newest_point() - mom.c_ref
-    phi = window.newest_value() - mom.f_ref
-    # Re-center the sums at the newest point.  Its own difference row
-    # is identically zero, so full-window sums equal the sums over the
-    # m-1 older points.
-    gram = (
-        mom.m_mat
-        - np.outer(u_vec, mom.s_vec)
-        - np.outer(mom.s_vec, u_vec)
-        + m * np.outer(u_vec, u_vec)
-    )
-    rhs = mom.p_vec - u_vec * mom.f_sum - mom.s_vec * phi + m * (u_vec * phi)
-    if mode == "difference_no_intercept":
-        full_gram, full_rhs = gram, rhs
-    else:
-        sum_dx = mom.s_vec - m * u_vec
-        sum_df = mom.f_sum - m * phi
-        full_gram = np.empty((window.dim + 1, window.dim + 1))
-        full_gram[:-1, :-1] = gram
-        full_gram[:-1, -1] = sum_dx
-        full_gram[-1, :-1] = sum_dx
-        full_gram[-1, -1] = m
-        full_rhs = np.append(rhs, sum_df)
-    try:
-        np.linalg.cholesky(full_gram)
-        sol = np.linalg.solve(full_gram, full_rhs)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(sol)):
-        return None
+    d = window.dim
+    k = d if mode == "difference_no_intercept" else d + 1
     x_new = window.newest_point()
     f_new = window.newest_value()
+    u_vec = x_new - mom.c_ref
+    phi = f_new - mom.f_ref
+    offsets = window._vals - f_new
+    # The normal matrix bordered by its right-hand side b, with a corner
+    # above b^T G^-1 b = |P y|^2 <= |y|^2: its Cholesky factor is
+    # [[L, 0], [z^T, *]] with L z = b, so one factorization both checks
+    # G and leaves only L^T x = z to solve.
+    system = np.empty((k + 1, k + 1))
+    gram = system[:d, :d]
+    # Re-center the sums at the newest point:
+    # M - u s^T - s u^T + m u u^T = M + u w^T + w u^T, w = (m/2) u - s.
+    # The newest point's own difference row is identically zero, so
+    # full-window sums equal the sums over the m-1 older points.
+    w_vec = 0.5 * m * u_vec - mom.s_vec
+    np.matmul(np.stack((u_vec, w_vec), 1), np.stack((w_vec, u_vec)), out=gram)
+    gram += mom.m_mat
+    rhs = system[k, :k]
+    rhs[:d] = mom.p_vec - u_vec * mom.f_sum - mom.s_vec * phi + m * (u_vec * phi)
+    if mode != "difference_no_intercept":
+        system[d, :d] = system[:d, d] = mom.s_vec - m * u_vec
+        system[d, d] = m
+        rhs[d] = mom.f_sum - m * phi
+    system[:k, k] = rhs  # symmetric, whichever triangle cholesky reads
+    system[k, k] = 2.0 * float(offsets @ offsets) + 1.0
+    try:
+        factor = np.linalg.cholesky(system)
+    except np.linalg.LinAlgError:
+        return None
+    sol = _back_substitute(factor[:k, :k].T, factor[k, :k])
+    if not np.all(np.isfinite(sol)):
+        return None
     if mode == "difference_no_intercept":
         g, c, c_delta = sol, None, 0.0
     else:
@@ -421,11 +453,10 @@ def _fit_linear_cached_moments(window: EvaluationWindow, mode: str):
         else:
             c = c_delta - float(g @ x_new) + f_new
     # Differences, not raw points: a window far from the origin keeps its digits.
-    resid = (window._pts - x_new) @ g + c_delta - (window._vals - f_new)
+    resid = (window._pts - x_new) @ g + c_delta - offsets
     resid_norm = float(np.linalg.norm(resid))
-    fit = SurrogateFit(np.asarray(g), None, c, resid_norm, "cached_moments")
-    fit._cond_matrix = full_gram
-    return fit
+    fit = SurrogateFit(g, None, c, resid_norm, "cached_moments")
+    return fit, system[:k, :k]
 
 
 def fit_linear(
@@ -437,20 +468,23 @@ def fit_linear(
     """Fit the linear surrogate on the current window.
 
     A full window with capacity >= d + 1 is solved from the moment
-    cache when its Gram passes a Cholesky check; otherwise the
-    assembled system is solved by minimum-norm pseudoinverse.  Rank
-    deficiency therefore degrades the solver path, never raises.
+    cache when its bordered Gram passes a Cholesky factorization;
+    otherwise the assembled system is solved by minimum-norm
+    pseudoinverse.  Rank deficiency therefore degrades the solver
+    path, never raises.
     """
     _require_samples(window)
     if mode not in REGRESSION_MODES:
         raise ValueError(f"unknown regression mode {mode!r}")
     d = window.dim
-    fit = None
+    cached = None
     # Intercept modes need m >= d + 1 rows for a nonsingular Gram;
     # difference mode drops the newest row and needs m - 1 >= d.
     if window.is_full and window.capacity >= d + 1:
-        fit = _fit_linear_cached_moments(window, mode)
-    if fit is None:
+        cached = _fit_linear_cached_moments(window, mode)
+    if cached is not None:
+        fit, gram = cached
+    else:
         x_mat, y_vec = assemble_linear_system(window, mode)
         coeffs, resid_norm = solve_least_squares(x_mat, y_vec)
         if mode == "difference_no_intercept":
@@ -458,12 +492,9 @@ def fit_linear(
         else:
             g, c = coeffs[:d], float(coeffs[d])
         fit = SurrogateFit(np.asarray(g), None, c, resid_norm, "pseudoinverse")
-        if estimate_condition:
-            fit._cond_matrix = x_mat.T @ x_mat
+        gram = x_mat.T @ x_mat if estimate_condition else None
     if estimate_condition:
-        fit.cond_estimate = estimate_condition_number(fit._cond_matrix)
-    if hasattr(fit, "_cond_matrix"):
-        del fit._cond_matrix
+        fit.cond_estimate = estimate_condition_number(gram)
     return fit
 
 

@@ -13,7 +13,7 @@ from reszo import (
     rank1_swap_inverse,
     solve_least_squares,
 )
-from reszo.regression import estimate_condition_number
+from reszo.regression import _back_substitute, estimate_condition_number
 
 
 def window_from(points, values, capacity=None, dim=None):
@@ -286,14 +286,14 @@ class TestFitLinear:
             assert fit.residual_norm == pytest.approx(direct, abs=1e-8)
 
 
-def adversarial_stream(rng, d, n):
-    """Points in 40-push phases: near the origin, a tight cluster at
-    |x| = 1e4 with spread 1e-3, the same cluster with every point pushed
-    twice, then back near the origin."""
+def adversarial_stream(rng, d, n, phase_len=40):
+    """Points in phases of ``phase_len`` pushes: near the origin, a tight
+    cluster at |x| = 1e4 with spread 1e-3, the same cluster with every
+    point pushed twice, then back near the origin."""
     far = np.full(d, 1e4 / np.sqrt(d))
     pushed = 0
     while pushed < n:
-        phase = (pushed // 40) % 4
+        phase = (pushed // phase_len) % 4
         if phase in (0, 3):
             p = rng.standard_normal(d)
         else:
@@ -326,12 +326,14 @@ def test_cached_route_matches_lstsq_on_adversarial_windows():
     # through the row space (capacity < 2d + 1) and through lstsq.
     routes = set()
     quad_underdetermined = set()
-    for d, capacity in [(2, 3), (3, 6), (4, 4), (5, 12)]:
+    for d, capacity in [(2, 3), (3, 6), (4, 4), (5, 12), (130, 140)]:
         rng = make_rng(60 + d)
         a = rng.standard_normal(d)
         win = EvaluationWindow(capacity, d)
-        pushes = 2 * max(d, 64) + 60
-        for p in adversarial_stream(rng, d, pushes):
+        # Phases outlast the window, so some full windows lie in one phase.
+        phase_len = max(40, capacity + 20)
+        pushes = max(2 * max(d, 64) + 60, 4 * phase_len)
+        for p in adversarial_stream(rng, d, pushes, phase_len):
             win.push(p, float(a @ p + 0.1 * np.sin(p).sum()))
             if len(win) < 2:
                 continue
@@ -363,6 +365,90 @@ def test_cached_route_matches_lstsq_on_adversarial_windows():
     for mode in ("intercept_centered", "intercept_raw", "difference_no_intercept"):
         assert {(mode, "cached_moments"), (mode, "pseudoinverse")} <= routes
     assert quad_underdetermined == {True, False}
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 902])
+def test_back_substitute_matches_solve(n):
+    # Sizes on both sides of each 64-row block boundary.
+    rng = make_rng(80 + n)
+    upper = np.triu(rng.standard_normal((n, n))) / np.sqrt(n)
+    upper[np.diag_indices(n)] = 1.0 + rng.random(n)
+    rhs = rng.standard_normal(n)
+    ref = np.linalg.solve(upper, rhs)
+    x = _back_substitute(upper, rhs)
+    assert np.max(np.abs(x - ref)) <= 1e-10 * (1.0 + np.max(np.abs(ref)))
+
+
+def test_cached_fit_factorizes_once(monkeypatch):
+    # One Cholesky factorization per fit, and only diagonal blocks of
+    # the triangular solve ever reach np.linalg.solve.
+    d, m = 130, 140
+    rng = make_rng(81)
+    win = EvaluationWindow(m, d)
+    for _ in range(m + 5):
+        p = rng.standard_normal(d)
+        win.push(p, float(np.sin(p).sum()))
+    cholesky, solve = np.linalg.cholesky, np.linalg.solve
+    factored, solved = [], []
+
+    def counting_cholesky(a):
+        factored.append(a.shape)
+        return cholesky(a)
+
+    def sized_solve(a, b):
+        solved.append(a.shape[0])
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    monkeypatch.setattr(np.linalg, "solve", sized_solve)
+    for mode in ("intercept_centered", "intercept_raw", "difference_no_intercept"):
+        factored.clear()
+        solved.clear()
+        fit = fit_linear(win, mode)
+        assert fit.solver_path == "cached_moments"
+        assert len(factored) == 1, mode
+        assert solved and max(solved) <= 64, mode
+
+
+@pytest.mark.parametrize("slope", [True, False], ids=["linear", "constant"])
+def test_exact_objectives_take_cached_route(slope):
+    # y lies in the column space (or is zero), so b^T G^-1 b = |y|^2:
+    # the bordered corner 2|y|^2 + 1 must still leave a positive pivot.
+    d, m = 70, 80
+    rng = make_rng(82)
+    a = rng.standard_normal(d) if slope else np.zeros(d)
+    win = EvaluationWindow(m, d)
+    for _ in range(m + 20):
+        p = rng.standard_normal(d)
+        win.push(p, float(a @ p + 3.0))
+    for mode in ("intercept_centered", "intercept_raw", "difference_no_intercept"):
+        fit = fit_linear(win, mode)
+        assert fit.solver_path == "cached_moments", mode
+        assert np.max(np.abs(fit.g - a)) <= 1e-10, mode
+
+
+def test_moment_updates_match_fresh_build():
+    # The last in-place update before the periodic rebuild still agrees
+    # with sums built from scratch around the same reference.
+    d, m = 70, 80
+    rng = make_rng(83)
+    win = EvaluationWindow(m, d)
+    for _ in range(m):
+        p = rng.standard_normal(d)
+        win.push(p, float(np.sin(p).sum()))
+    mom = win.moment_cache()
+    updates = max(d, 64) - 1
+    for _ in range(updates):
+        p = rng.standard_normal(d)
+        win.push(p, float(np.sin(p).sum()))
+    assert win._mom is mom and mom.updates == updates
+    deltas = win.points() - mom.c_ref
+    offsets = win.values() - mom.f_ref
+    scale = mom.mass
+    np.testing.assert_allclose(mom.m_mat, deltas.T @ deltas, rtol=0, atol=1e-13 * scale)
+    np.testing.assert_allclose(mom.s_vec, deltas.sum(axis=0), rtol=0, atol=1e-13 * scale)
+    np.testing.assert_allclose(mom.p_vec, deltas.T @ offsets, rtol=0, atol=1e-13 * scale)
+    assert mom.f_sum == pytest.approx(offsets.sum(), abs=1e-13 * scale)
 
 
 @pytest.mark.xfail(
