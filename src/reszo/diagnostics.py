@@ -21,9 +21,10 @@ class DiagnosticsRecord:
     """Per-iteration diagnostics for a regression-method run.
 
     ``xi_norm`` is the distance between the gradient estimate and the
-    true gradient at the iterate; ``cd_ratio`` relates the estimate's
-    error at the perturbed point to the window spread times L/2 and is
-    None when undefined (no smoothness constant, zero spread, or a
+    true gradient at the iterate, ``grad_norm`` the true gradient's
+    norm there; ``cd_ratio`` relates the estimate's error at the
+    perturbed point to the window spread times L/2 and is None when
+    undefined (no smoothness constant, zero spread, or a
     quadratic-surrogate run).
     """
 
@@ -31,8 +32,6 @@ class DiagnosticsRecord:
     xi_norm: float
     grad_norm: float
     cd_ratio: Optional[float]
-    window_spread: float
-    cond_estimate: Optional[float] = None
 
 
 def finite_difference_gradient(f, x: np.ndarray, h: Optional[float] = None) -> np.ndarray:
@@ -97,7 +96,6 @@ class DiagnosticsCollector:
         self._fd_step = fd_step
         self.track_cd = track_cd and obj.smoothness_L is not None
         self.records: List[DiagnosticsRecord] = []
-        self.warm_condition_violations = 0
 
     def _gradient(self, x):
         if self._obj.analytic_gradient is not None:
@@ -105,17 +103,13 @@ class DiagnosticsCollector:
         return finite_difference_gradient(self._obj, x, self._fd_step)
 
     def observe_warm(self, t, x_t, estimate, warm_eta, eta):
-        # Warm step-size sanity: |warm_eta g| should stay within
-        # 2 eta |grad f|.  Logged, never enforced; skipped without an
-        # analytic gradient (a finite-difference check would double the
-        # oracle traffic for a purely informational counter).
-        if self._obj.analytic_gradient is None:
-            return
-        grad = self._obj.gradient(x_t)
-        if warm_eta * np.linalg.norm(estimate) > 2.0 * eta * np.linalg.norm(grad):
-            self.warm_condition_violations += 1
+        """Do nothing; warm-phase iterations are not observed.
 
-    def observe(self, t, x_t, xhat_t, estimate, window, delta_t, cond_estimate=None):
+        Kept so tools that look the method up by name on the class,
+        such as span tracers, still resolve it.
+        """
+
+    def observe(self, t, x_t, xhat_t, estimate, window):
         grad_x = self._gradient(x_t)
         xi_norm = float(np.linalg.norm(estimate - grad_x))
         grad_norm = float(np.linalg.norm(grad_x))
@@ -129,32 +123,21 @@ class DiagnosticsCollector:
                 xhat_t,
                 window.oldest_point(),
             )
-        self.records.append(
-            DiagnosticsRecord(
-                t, xi_norm, grad_norm, ratio, window.spread(), cond_estimate
-            )
-        )
+        self.records.append(DiagnosticsRecord(t, xi_norm, grad_norm, ratio))
 
     def attach_to_trace(self, trace: RunTrace):
         """Copy the collected series onto the trace, NaN where absent."""
         n = len(trace)
         xi = np.full(n, np.nan)
-        gn = np.full(n, np.nan)
         cd = np.full(n, np.nan)
-        spread = np.full(n, np.nan)
         base = int(trace.iterations[0]) if n else 0
         for rec in self.records:
             idx = rec.iteration - base
             if 0 <= idx < n:
                 xi[idx] = rec.xi_norm
-                gn[idx] = rec.grad_norm
                 cd[idx] = np.nan if rec.cd_ratio is None else rec.cd_ratio
-                spread[idx] = rec.window_spread
         trace.xi_norms = xi
-        trace.grad_norms = gn
         trace.cd_ratios = cd
-        trace.window_spreads = spread
-        trace.warm_condition_violations = self.warm_condition_violations
 
 
 def attach_diagnostics(

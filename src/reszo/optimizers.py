@@ -34,10 +34,10 @@ from .sampling import get_sampler
 METHODS = ("szo", "rszo", "tzo", "l_reszo", "q_reszo")
 REGRESSION_METHODS = ("l_reszo", "q_reszo")
 
-# Code 2 belonged to the retired rank-1 inverse route; it stays reserved
-# so trials.csv files written with it still decode.
+# Code 2 belonged to the retired rank-1 inverse route.  No file records
+# solver paths; the code stays only because perfbench/worker.py indexes
+# SOLVER_PATH_CODES["cached_rank1"], until that benchmark stops asking.
 SOLVER_PATH_CODES = {"pseudoinverse": 1, "cached_rank1": 2, "cached_moments": 3}
-SOLVER_PATH_NAMES = {v: k for k, v in SOLVER_PATH_CODES.items()}
 
 
 @dataclass
@@ -104,9 +104,9 @@ class OptimizerConfig:
 class RunTrace:
     """Per-iteration scalars for one optimizer run plus the final iterate.
 
-    Diagnostics columns (``xi_norms``, ``grad_norms``, ``cd_ratios``,
-    ``window_spreads``) are attached only when the run was observed by
-    a diagnostics collector; entries are NaN where undefined.
+    Diagnostics columns (``xi_norms``, ``cd_ratios``) are attached only
+    when the run was observed by a diagnostics collector; entries are
+    NaN where undefined.
     """
 
     iterations: np.ndarray
@@ -119,10 +119,7 @@ class RunTrace:
     diverged: bool = False
     divergence_iteration: Optional[int] = None
     xi_norms: Optional[np.ndarray] = None
-    grad_norms: Optional[np.ndarray] = None
     cd_ratios: Optional[np.ndarray] = None
-    window_spreads: Optional[np.ndarray] = None
-    warm_condition_violations: Optional[int] = None
 
     def __len__(self) -> int:
         return len(self.iterations)
@@ -265,8 +262,6 @@ def _run_reszo(obj, cfg, x0, quadratic, diagnostics):
             window.push(x + delta_t * u, fv)
             eta_t = cfg.warm_eta
             path = 0
-            if diagnostics is not None:
-                diagnostics.observe_warm(t, x, estimate, cfg.warm_eta, cfg.eta)
         else:
             if cfg.adaptive_delta:
                 delta_t = adaptive_delta(cfg.eta, g_prev, delta_floor)
@@ -275,21 +270,16 @@ def _run_reszo(obj, cfg, x0, quadratic, diagnostics):
             xh = x + delta_t * u
             fv = _guarded_evaluate(obj, xh, builder, t)
             window.push(xh, fv)
-            want_cond = diagnostics is not None
             if quadratic:
-                fit = fit_quadratic(window, estimate_condition=want_cond)
+                fit = fit_quadratic(window)
                 estimate = fit.g - delta_t * fit.h * u
             else:
-                fit = fit_linear(
-                    window, cfg.regression_mode, estimate_condition=want_cond
-                )
+                fit = fit_linear(window, cfg.regression_mode)
                 estimate = fit.g
             eta_t = cfg.eta
             path = SOLVER_PATH_CODES[fit.solver_path]
             if diagnostics is not None:
-                diagnostics.observe(
-                    t, x, xh, estimate, window, delta_t, cond_estimate=fit.cond_estimate
-                )
+                diagnostics.observe(t, x, xh, estimate, window)
         builder.add(
             t, obj.query_count - q0, fv, float(np.linalg.norm(estimate)), delta_t, path
         )

@@ -63,7 +63,6 @@ class SurrogateFit:
     c: Optional[float]
     residual_norm: float
     solver_path: str
-    cond_estimate: Optional[float] = None
 
 
 class _MomentCache:
@@ -351,7 +350,11 @@ def rank1_swap_inverse(a_inv: np.ndarray, drop_row: np.ndarray, add_row: np.ndar
 
 
 def estimate_condition_number(gram: np.ndarray, steps: int = 20) -> float:
-    """Power-iteration estimate of cond(G) for symmetric PSD G."""
+    """Power-iteration estimate of cond(G) for symmetric PSD G.
+
+    No fit calls it.  It stays a module function so tools that look it
+    up by name, such as span tracers, still resolve it.
+    """
     n = gram.shape[0]
     v = np.full(n, 1.0 / np.sqrt(n))
     lam_max = 0.0
@@ -402,8 +405,8 @@ def _back_substitute(upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _fit_linear_cached_moments(window: EvaluationWindow, mode: str):
     """Solve the normal equations from the moment cache.
 
-    Returns ``(fit, gram)`` with ``gram`` the k x k normal matrix, or
-    None when the cache is unavailable or the factorization fails.
+    Returns the fit, or None when the cache is unavailable or the
+    factorization fails.
     """
     mom = window.moment_cache()
     if mom is None:
@@ -455,16 +458,10 @@ def _fit_linear_cached_moments(window: EvaluationWindow, mode: str):
     # Differences, not raw points: a window far from the origin keeps its digits.
     resid = (window._pts - x_new) @ g + c_delta - offsets
     resid_norm = float(np.linalg.norm(resid))
-    fit = SurrogateFit(g, None, c, resid_norm, "cached_moments")
-    return fit, system[:k, :k]
+    return SurrogateFit(g, None, c, resid_norm, "cached_moments")
 
 
-def fit_linear(
-    window: EvaluationWindow,
-    mode: str = "intercept_centered",
-    *,
-    estimate_condition: bool = False,
-) -> SurrogateFit:
+def fit_linear(window: EvaluationWindow, mode: str = "intercept_centered") -> SurrogateFit:
     """Fit the linear surrogate on the current window.
 
     A full window with capacity >= d + 1 is solved from the moment
@@ -477,42 +474,31 @@ def fit_linear(
     if mode not in REGRESSION_MODES:
         raise ValueError(f"unknown regression mode {mode!r}")
     d = window.dim
-    cached = None
     # Intercept modes need m >= d + 1 rows for a nonsingular Gram;
     # difference mode drops the newest row and needs m - 1 >= d.
     if window.is_full and window.capacity >= d + 1:
-        cached = _fit_linear_cached_moments(window, mode)
-    if cached is not None:
-        fit, gram = cached
+        fit = _fit_linear_cached_moments(window, mode)
+        if fit is not None:
+            return fit
+    x_mat, y_vec = assemble_linear_system(window, mode)
+    coeffs, resid_norm = solve_least_squares(x_mat, y_vec)
+    if mode == "difference_no_intercept":
+        g, c = coeffs, None
     else:
-        x_mat, y_vec = assemble_linear_system(window, mode)
-        coeffs, resid_norm = solve_least_squares(x_mat, y_vec)
-        if mode == "difference_no_intercept":
-            g, c = coeffs, None
-        else:
-            g, c = coeffs[:d], float(coeffs[d])
-        fit = SurrogateFit(np.asarray(g), None, c, resid_norm, "pseudoinverse")
-        gram = x_mat.T @ x_mat if estimate_condition else None
-    if estimate_condition:
-        fit.cond_estimate = estimate_condition_number(gram)
-    return fit
+        g, c = coeffs[:d], float(coeffs[d])
+    return SurrogateFit(np.asarray(g), None, c, resid_norm, "pseudoinverse")
 
 
-def fit_quadratic(
-    window: EvaluationWindow, estimate_condition: bool = False
-) -> SurrogateFit:
+def fit_quadratic(window: EvaluationWindow) -> SurrogateFit:
     """Fit the quadratic surrogate (diagonal curvature) on the window."""
     _require_samples(window)
     d = window.dim
     x_mat, y_vec = assemble_quadratic_system(window)
     coeffs, resid_norm = solve_least_squares(x_mat, y_vec)
-    fit = SurrogateFit(
+    return SurrogateFit(
         coeffs[:d].copy(),
         coeffs[d : 2 * d].copy(),
         float(coeffs[2 * d]),
         resid_norm,
         "pseudoinverse",
     )
-    if estimate_condition:
-        fit.cond_estimate = estimate_condition_number(x_mat.T @ x_mat)
-    return fit

@@ -518,27 +518,6 @@ def test_condition_estimate_order_of_magnitude():
     assert 50.0 <= est <= 200.0
 
 
-def test_fit_records_condition_estimate():
-    rng = make_rng(52)
-    d, m = 3, 8
-    win = EvaluationWindow(m, d)
-    for _ in range(m + 2):
-        p = rng.standard_normal(d)
-        win.push(p, float(p @ p))
-    for mode in ("intercept_centered", "difference_no_intercept"):
-        fit = fit_linear(win, mode, estimate_condition=True)
-        assert fit.solver_path == "cached_moments"
-        assert fit.cond_estimate is not None and fit.cond_estimate >= 1.0
-    # A window not yet full takes the pseudoinverse route.
-    partial = EvaluationWindow(m, d)
-    for p in win.points()[:6]:
-        partial.push(p, float(p @ p))
-    fit = fit_linear(partial, "intercept_centered", estimate_condition=True)
-    assert fit.solver_path == "pseudoinverse"
-    assert fit.cond_estimate is not None and fit.cond_estimate >= 1.0
-    assert fit_quadratic(win, estimate_condition=True).cond_estimate >= 1.0
-
-
 def test_difference_fit_residual_within_taylor_bound():
     # Windows collected from an actual optimizer trajectory on a smooth
     # objective: the sup-norm of the difference-mode fit residual stays
@@ -553,10 +532,10 @@ def test_difference_fit_residual_within_taylor_bound():
     captured = []
     orig = reg.fit_linear
 
-    def capture(window, mode="intercept_centered", *, estimate_condition=False):
+    def capture(window, mode="intercept_centered"):
         if window.is_full and len(captured) < 50:
             captured.append((window.points().copy(), window.values().copy()))
-        return orig(window, mode, estimate_condition=estimate_condition)
+        return orig(window, mode)
 
     opt.fit_linear = capture
     try:
