@@ -4,6 +4,10 @@ Datasets are pure functions of the benchmark spec: the same (problem,
 d, N, lambda, seed) always yields bit-identical data.  Generated
 arrays are cached per spec and marked read-only so that objectives
 can share them; each objective instance carries its own query counter.
+Derived constants are cached the same way, per (d, N, lambda, seed):
+the smoothness constant L (the exact top eigenvalue of the Gram) and
+the optimum f*.  Once a dataset has been seen, building an objective
+over it only wraps the cached arrays and floats.
 
 Problems:
 
@@ -65,28 +69,6 @@ class BenchmarkSpec:
             _layer_width(self.d)  # validates the parameter count
 
 
-def _power_lmax(mat: np.ndarray, rel_tol: float = 1e-8, max_iter: int = 50000) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration.
-
-    Deterministic (fixed start vector) so derived constants are pure
-    functions of the data.
-    """
-    n = mat.shape[0]
-    v = np.full(n, 1.0 / np.sqrt(n))
-    lam = 0.0
-    for _ in range(max_iter):
-        w = mat @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        new_lam = float(v @ w)
-        v = w / norm
-        if abs(new_lam - lam) <= rel_tol * abs(new_lam):
-            return new_lam
-        lam = new_lam
-    return lam
-
-
 def _freeze(*arrays):
     for arr in arrays:
         arr.setflags(write=False)
@@ -105,12 +87,7 @@ def _ridge_data(d, n, seed):
     return h_mat, y_vec
 
 
-def _ridge_objective(h_mat, y_vec, lam, name="ridge"):
-    gram = h_mat.T @ h_mat
-    smoothness = _power_lmax(gram) + lam
-    d = h_mat.shape[1]
-    x_star = np.linalg.solve(gram + lam * np.eye(d), h_mat.T @ y_vec)
-
+def _ridge_functions(h_mat, y_vec, lam):
     def value(x):
         r = h_mat @ x - y_vec
         return 0.5 * float(r @ r) + 0.5 * lam * float(x @ x)
@@ -118,13 +95,33 @@ def _ridge_objective(h_mat, y_vec, lam, name="ridge"):
     def grad(x):
         return h_mat.T @ (h_mat @ x - y_vec) + lam * x
 
+    return value, grad
+
+
+def _ridge_constants(h_mat, y_vec, lam):
+    """(L, f*) of the ridge objective; f* is ``value`` at the closed form."""
+    gram = h_mat.T @ h_mat
+    d = h_mat.shape[1]
+    x_star = np.linalg.solve(gram + lam * np.eye(d), h_mat.T @ y_vec)
+    value, _ = _ridge_functions(h_mat, y_vec, lam)
+    return float(np.linalg.eigvalsh(gram)[-1]) + lam, value(x_star)
+
+
+@lru_cache(maxsize=None)
+def _ridge_constants_cached(d, n, lam, seed):
+    return _ridge_constants(*_ridge_data(d, n, seed), lam)
+
+
+def _ridge_objective(h_mat, y_vec, lam, constants):
+    smoothness, fstar = constants
+    value, grad = _ridge_functions(h_mat, y_vec, lam)
     return BlackBoxObjective(
-        d,
+        h_mat.shape[1],
         value,
         analytic_gradient=grad,
         smoothness_L=smoothness,
-        optimum_value=value(x_star),
-        name=name,
+        optimum_value=fstar,
+        name="ridge",
     )
 
 
@@ -132,7 +129,8 @@ def make_ridge(spec: BenchmarkSpec) -> BlackBoxObjective:
     if spec.problem != "ridge":
         raise ValueError("spec.problem must be 'ridge'")
     h_mat, y_vec = _ridge_data(spec.d, spec.n_samples, spec.seed)
-    return _ridge_objective(h_mat, y_vec, spec.lam)
+    constants = _ridge_constants_cached(spec.d, spec.n_samples, spec.lam, spec.seed)
+    return _ridge_objective(h_mat, y_vec, spec.lam, constants)
 
 
 # -- logistic --------------------------------------------------------------
@@ -148,10 +146,7 @@ def _logistic_data(d, n, seed):
     return s_mat, labels
 
 
-def _logistic_objective(s_mat, labels, lam, fstar=None, name="logistic"):
-    smoothness = _power_lmax(s_mat.T @ s_mat) / 8.0 + lam
-    d = s_mat.shape[1]
-
+def _logistic_functions(s_mat, labels, lam):
     def value(x):
         z = labels * (s_mat @ x)
         return 0.5 * float(np.sum(np.logaddexp(0.0, -z))) + 0.5 * lam * float(x @ x)
@@ -160,21 +155,36 @@ def _logistic_objective(s_mat, labels, lam, fstar=None, name="logistic"):
         z = labels * (s_mat @ x)
         return -0.5 * (s_mat.T @ (sigmoid(-z) * labels)) + lam * x
 
-    if fstar is None:
-        fstar = lambda: _descend_to_optimum(value, grad, d, smoothness)
+    return value, grad
+
+
+def _logistic_smoothness(s_mat, lam):
+    # The logistic Hessian is bounded by S^T S / 8 + lam (halved loss).
+    return float(np.linalg.eigvalsh(s_mat.T @ s_mat)[-1]) / 8.0 + lam
+
+
+@lru_cache(maxsize=None)
+def _logistic_smoothness_cached(d, n, lam, seed):
+    s_mat, _ = _logistic_data(d, n, seed)
+    return _logistic_smoothness(s_mat, lam)
+
+
+def _logistic_objective(s_mat, labels, lam, smoothness, fstar):
+    value, grad = _logistic_functions(s_mat, labels, lam)
     return BlackBoxObjective(
-        d,
+        s_mat.shape[1],
         value,
         analytic_gradient=grad,
         smoothness_L=smoothness,
         optimum_value=fstar,
-        name=name,
+        name="logistic",
     )
 
 
-def _descend_to_optimum(value, grad, d, smoothness, tol=1e-10, max_iter=500000):
-    """Plain gradient descent with step 1/L until |grad| <= tol."""
-    x = np.zeros(d)
+def _logistic_fstar(s_mat, labels, lam, smoothness, tol=1e-10, max_iter=500000):
+    """Plain gradient descent from the origin with step 1/L until |grad| <= tol."""
+    value, grad = _logistic_functions(s_mat, labels, lam)
+    x = np.zeros(s_mat.shape[1])
     step = 1.0 / smoothness
     for _ in range(max_iter):
         g = grad(x)
@@ -185,20 +195,23 @@ def _descend_to_optimum(value, grad, d, smoothness, tol=1e-10, max_iter=500000):
 
 
 @lru_cache(maxsize=None)
-def _logistic_fstar(d, n, lam, seed):
+def _logistic_fstar_cached(d, n, lam, seed):
     s_mat, labels = _logistic_data(d, n, seed)
-    probe = _logistic_objective(s_mat, labels, lam, fstar=np.nan)
-    return _descend_to_optimum(
-        probe._fn, probe.analytic_gradient, d, probe.smoothness_L
-    )
+    return _logistic_fstar(s_mat, labels, lam, _logistic_smoothness_cached(d, n, lam, seed))
 
 
 def make_logistic(spec: BenchmarkSpec) -> BlackBoxObjective:
     if spec.problem != "logistic":
         raise ValueError("spec.problem must be 'logistic'")
+    key = (spec.d, spec.n_samples, spec.lam, spec.seed)
     s_mat, labels = _logistic_data(spec.d, spec.n_samples, spec.seed)
-    fstar = lambda: _logistic_fstar(spec.d, spec.n_samples, spec.lam, spec.seed)
-    return _logistic_objective(s_mat, labels, spec.lam, fstar=fstar)
+    return _logistic_objective(
+        s_mat,
+        labels,
+        spec.lam,
+        _logistic_smoothness_cached(*key),
+        lambda: _logistic_fstar_cached(*key),
+    )
 
 
 # -- rosenbrock --------------------------------------------------------------
@@ -378,9 +391,13 @@ def load_dataset(path):
 def objective_from_dataset(spec: BenchmarkSpec, arrays) -> BlackBoxObjective:
     """Build an objective over externally supplied arrays."""
     if spec.problem == "ridge":
-        return _ridge_objective(arrays["H"], arrays["y"], spec.lam)
+        h_mat, y_vec = arrays["H"], arrays["y"]
+        return _ridge_objective(h_mat, y_vec, spec.lam, _ridge_constants(h_mat, y_vec, spec.lam))
     if spec.problem == "logistic":
-        return _logistic_objective(arrays["S"], arrays["labels"], spec.lam)
+        s_mat, labels = arrays["S"], arrays["labels"]
+        smoothness = _logistic_smoothness(s_mat, spec.lam)
+        fstar = lambda: _logistic_fstar(s_mat, labels, spec.lam, smoothness)
+        return _logistic_objective(s_mat, labels, spec.lam, smoothness, fstar)
     if spec.problem == "rosenbrock":
         return make_rosenbrock(spec)
     width = _layer_width(spec.d)

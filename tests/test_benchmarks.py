@@ -1,19 +1,28 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import reszo.benchmarks
 from reszo import (
     BenchmarkSpec,
+    ExperimentConfig,
+    OptimizerConfig,
     finite_difference_gradient,
     initial_point,
     load_dataset,
     make_objective,
     make_rng,
     objective_from_dataset,
+    run_experiment,
     save_dataset,
 )
 from reszo.benchmarks import (
     _layer_width,
+    _logistic_data,
     _nn_data,
+    _ridge_constants_cached,
+    _ridge_data,
     pack_parameters,
     sigmoid,
     unpack_parameters,
@@ -55,12 +64,20 @@ class TestRidge:
             assert rel_grad_error(obj, rng.standard_normal(self.spec.d)) <= 1e-5
 
     def test_smoothness_constant_is_top_eigenvalue(self):
-        from reszo.benchmarks import _ridge_data
-
         obj = make_objective(self.spec)
         h_mat, _ = _ridge_data(self.spec.d, self.spec.n_samples, self.spec.seed)
         exact = np.linalg.eigvalsh(h_mat.T @ h_mat)[-1] + self.spec.lam
-        assert obj.smoothness_L == pytest.approx(exact, rel=1e-6)
+        assert obj.smoothness_L == pytest.approx(exact, rel=1e-12)
+
+    def test_smoothness_bounds_gradient_change_along_top_eigenvector(self):
+        # The gradient changes by exactly (H^T H + lam) v along a unit top
+        # eigenvector v, so any underestimate of L fails here.
+        obj = make_objective(self.spec)
+        h_mat, _ = _ridge_data(self.spec.d, self.spec.n_samples, self.spec.seed)
+        v = np.linalg.eigh(h_mat.T @ h_mat)[1][:, -1]
+        x = np.zeros(self.spec.d)
+        lhs = np.linalg.norm(obj.gradient(x + v) - obj.gradient(x))
+        assert lhs <= obj.smoothness_L * (1 + 1e-12)
 
     def test_initial_point_is_origin_with_positive_gap(self):
         obj = make_objective(self.spec)
@@ -85,6 +102,23 @@ class TestLogistic:
         rng = make_rng(3)
         for _ in range(5):
             assert rel_grad_error(obj, rng.standard_normal(self.spec.d)) <= 1e-5
+
+    def test_smoothness_constant_is_top_eigenvalue(self):
+        obj = make_objective(self.spec)
+        s_mat, _ = _logistic_data(self.spec.d, self.spec.n_samples, self.spec.seed)
+        exact = np.linalg.eigvalsh(s_mat.T @ s_mat)[-1] / 8.0 + self.spec.lam
+        assert obj.smoothness_L == pytest.approx(exact, rel=1e-12)
+
+    def test_smoothness_bounds_gradient_change_along_top_eigenvector(self):
+        # At x = 0 the Hessian is S^T S / 8 + lam, its maximum.  A 1e-4 step
+        # loses about 1e-9 (relative) of that curvature, so an L short by
+        # 1e-8 or more fails here; rounding (about 2e-12) stays below the gap.
+        obj = make_objective(self.spec)
+        s_mat, _ = _logistic_data(self.spec.d, self.spec.n_samples, self.spec.seed)
+        v = np.linalg.eigh(s_mat.T @ s_mat)[1][:, -1]
+        x, step = np.zeros(self.spec.d), 1e-4
+        lhs = np.linalg.norm(obj.gradient(x + step * v) - obj.gradient(x))
+        assert lhs <= obj.smoothness_L * step * (1 + 1e-12)
 
     def test_large_margin_evaluation_is_finite(self):
         obj = make_objective(self.spec)
@@ -189,11 +223,41 @@ class TestDeterminismAndSharing:
         assert a.evaluate(x) != b.evaluate(x)
 
     def test_dataset_arrays_are_read_only(self):
-        from reszo.benchmarks import _ridge_data
-
         h_mat, _ = _ridge_data(5, 30, 3)
         with pytest.raises(ValueError):
             h_mat[0, 0] = 1.0
+
+    def test_derived_constants_are_built_once_per_dataset(self, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+        solves = []
+
+        def counting_eigvalsh(a):
+            solves.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(reszo.benchmarks.np.linalg, "eigvalsh", counting_eigvalsh)
+        _ridge_constants_cached.cache_clear()
+        spec = BenchmarkSpec("ridge", d=4, n_samples=20, seed=17)
+        exp = ExperimentConfig(
+            benchmark=spec,
+            optimizer=OptimizerConfig(
+                method="l_reszo",
+                eta=1e-4,
+                delta=0.01,
+                iterations=10,
+                window_m=6,
+                warm_eta=1e-5,
+                warm_delta=0.05,
+            ),
+            trials=2,
+        )
+        objs = [make_objective(spec) for _ in range(3)]
+        run_experiment(exp)
+        run_experiment(exp)
+        assert solves == [(4, 4)]
+        assert len({(o.smoothness_L, o.optimum_value) for o in objs}) == 1
+        make_objective(replace(spec, lam=0.2))
+        assert solves == [(4, 4), (4, 4)]
 
 
 class TestDumpLoad:
@@ -217,9 +281,10 @@ class TestDumpLoad:
         for _ in range(5):
             x = rng.standard_normal(spec.d)
             assert original.evaluate(x) == rebuilt.evaluate(x)
-        if spec.problem == "ridge":
-            assert original.optimum_value == rebuilt.optimum_value
+        if spec.problem in ("ridge", "logistic"):
+            # The uncached build must reproduce the cached constants bit for bit.
             assert original.smoothness_L == rebuilt.smoothness_L
+            assert original.optimum_value == rebuilt.optimum_value
 
 
 def test_sigmoid_stable_at_extremes():
