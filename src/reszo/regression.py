@@ -16,8 +16,13 @@ Fit routing: a full window with capacity >= d + 1 is solved from a
 reference-centered moment cache (``cached_moments``): the re-centered
 normal equations, which stay well conditioned however far the window
 drifts from the origin.  One Cholesky factorization of that Gram,
-bordered by its right-hand side, both checks it and solves it.  A Gram
-that fails the factorization, and every other window, falls back to a
+bordered by its right-hand side, both checks it and solves it.  The
+window keeps the bordered system and its factor in two buffers reused
+from fit to fit, and the factor is written in LAPACK's column-major
+layout, so the buffer holds its transpose in row-major order.  The
+quadratic design is likewise assembled in a buffer the window keeps.
+A Gram that fails the factorization or whose relative pivots reveal
+numerical rank deficiency, and every other window, falls back to a
 minimum-norm pseudoinverse solve; rank deficiency never raises out of
 ``fit_linear``/``fit_quadratic``.
 """
@@ -28,6 +33,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .core import NotEnoughSamplesError, SingularUpdateError
 
@@ -46,6 +52,17 @@ _SWAP_SINGULAR_TOL = 1e-12
 _RECENTER_LIMIT = 100.0
 # Diagonal block size of the blocked triangular solve.
 _SUBSTITUTION_BLOCK = 64
+# A relative pivot L_ii^2 / G_ii is the squared sine of the angle between
+# column i and the columns before it.  Below this the Gram is numerically
+# rank deficient and the factorization's solution is not the minimum-norm
+# one.  Measured minima: above 2e-7 on healthy runs, below 2e-12 on
+# windows with duplicated points.
+_RELATIVE_PIVOT_TOL = 3e-10
+# numpy's lower-triangular Cholesky gufunc, the one np.linalg.cholesky
+# wraps.  Unlike that function it writes into a given output buffer.  A
+# failed factorization fills the output with NaN and sets numpy's invalid
+# flag instead of raising.
+_cholesky_lo = _umath_linalg.cholesky_lo
 
 
 @dataclass
@@ -98,6 +115,14 @@ class EvaluationWindow:
     centered moment sums in sync (the second moments take one in-place
     rank-2 update per insertion).  The sums are rebuilt from scratch
     every ``max(d, 64)`` updates to bound floating-point drift.
+
+    The window also keeps its fits' buffers, so a fit allocates no large
+    temporaries: the linear fit's two (k+1)x(k+1) buffers, the bordered
+    normal matrix and its Cholesky factor, which LAPACK writes
+    column-major so the buffer holds the upper factor L^T row-major; and
+    the quadratic fit's (m, 2d+1) design.  Each is allocated on first
+    use and reused while its shape stays the same; no fit returns a view
+    of them.
     """
 
     def __init__(self, capacity: int, dim: int):
@@ -113,6 +138,9 @@ class EvaluationWindow:
         self._count = 0
         self._rebuild_every = max(dim, 64)
         self._mom: Optional[_MomentCache] = None
+        self._system: Optional[np.ndarray] = None
+        self._upper: Optional[np.ndarray] = None
+        self._design: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return self._count
@@ -270,15 +298,30 @@ def assemble_linear_system(window: EvaluationWindow, mode: str):
     return x_mat, y_vec
 
 
+def _quadratic_design(window: EvaluationWindow):
+    """The quadratic (X, y), X written into the window's design buffer."""
+    m, d = len(window), window.dim
+    x_mat = window._design
+    if x_mat is None or x_mat.shape[0] != m:
+        x_mat = window._design = np.empty((m, 2 * d + 1))
+    deltas, half_squares = x_mat[:, :d], x_mat[:, d : 2 * d]
+    # Oldest row first: the ring buffer from its start, then its wrapped head.
+    start = window._start
+    newest = window.newest_point()
+    np.subtract(window._pts[start:m], newest, out=deltas[: m - start])
+    np.subtract(window._pts[:start], newest, out=deltas[m - start :])
+    np.multiply(deltas, 0.5, out=half_squares)
+    half_squares *= deltas
+    x_mat[:, 2 * d] = 1.0
+    vals = window.values()
+    return x_mat, vals - vals[-1]
+
+
 def assemble_quadratic_system(window: EvaluationWindow):
     """Build the (m, 2d+1) design with rows (dx, 0.5*dx*dx, 1)."""
     _require_samples(window)
-    pts = window.points()
-    vals = window.values()
-    deltas = pts - pts[-1]
-    x_mat = np.hstack([deltas, 0.5 * deltas * deltas, np.ones((len(pts), 1))])
-    y_vec = vals - vals[-1]
-    return x_mat, y_vec
+    x_mat, y_vec = _quadratic_design(window)
+    return x_mat.copy(), y_vec
 
 
 # -- solvers ---------------------------------------------------------------
@@ -405,8 +448,9 @@ def _back_substitute(upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _fit_linear_cached_moments(window: EvaluationWindow, mode: str):
     """Solve the normal equations from the moment cache.
 
-    Returns the fit, or None when the cache is unavailable or the
-    factorization fails.
+    Returns the fit, or None when the cache is unavailable, the
+    factorization fails, or a relative pivot falls below
+    ``_RELATIVE_PIVOT_TOL``.
     """
     mom = window.moment_cache()
     if mom is None:
@@ -423,7 +467,10 @@ def _fit_linear_cached_moments(window: EvaluationWindow, mode: str):
     # above b^T G^-1 b = |P y|^2 <= |y|^2: its Cholesky factor is
     # [[L, 0], [z^T, *]] with L z = b, so one factorization both checks
     # G and leaves only L^T x = z to solve.
-    system = np.empty((k + 1, k + 1))
+    system, upper = window._system, window._upper
+    if system is None or system.shape[0] != k + 1:
+        system = window._system = np.empty((k + 1, k + 1))
+        upper = window._upper = np.empty_like(system)
     gram = system[:d, :d]
     # Re-center the sums at the newest point:
     # M - u s^T - s u^T + m u u^T = M + u w^T + w u^T, w = (m/2) u - s.
@@ -440,11 +487,15 @@ def _fit_linear_cached_moments(window: EvaluationWindow, mode: str):
         rhs[d] = mom.f_sum - m * phi
     system[:k, k] = rhs  # symmetric, whichever triangle cholesky reads
     system[k, k] = 2.0 * float(offsets @ offsets) + 1.0
-    try:
-        factor = np.linalg.cholesky(system)
-    except np.linalg.LinAlgError:
+    # Column-major L is row-major L^T: the substitution reads row blocks.
+    with np.errstate(invalid="ignore"):
+        _cholesky_lo(system, out=upper.T)
+    if np.isnan(upper[k, k]):
+        return None  # not positive definite
+    pivots = np.diagonal(upper)[:k] ** 2 / np.diagonal(system)[:k]
+    if pivots.min() < _RELATIVE_PIVOT_TOL:
         return None
-    sol = _back_substitute(factor[:k, :k].T, factor[k, :k])
+    sol = _back_substitute(upper[:k, :k], upper[:k, k])
     if not np.all(np.isfinite(sol)):
         return None
     if mode == "difference_no_intercept":
@@ -465,10 +516,10 @@ def fit_linear(window: EvaluationWindow, mode: str = "intercept_centered") -> Su
     """Fit the linear surrogate on the current window.
 
     A full window with capacity >= d + 1 is solved from the moment
-    cache when its bordered Gram passes a Cholesky factorization;
-    otherwise the assembled system is solved by minimum-norm
-    pseudoinverse.  Rank deficiency therefore degrades the solver
-    path, never raises.
+    cache when its bordered Gram passes a Cholesky factorization with
+    no relative pivot below ``_RELATIVE_PIVOT_TOL``; otherwise the
+    assembled system is solved by minimum-norm pseudoinverse.  Rank
+    deficiency therefore degrades the solver path, never raises.
     """
     _require_samples(window)
     if mode not in REGRESSION_MODES:
@@ -493,7 +544,7 @@ def fit_quadratic(window: EvaluationWindow) -> SurrogateFit:
     """Fit the quadratic surrogate (diagonal curvature) on the window."""
     _require_samples(window)
     d = window.dim
-    x_mat, y_vec = assemble_quadratic_system(window)
+    x_mat, y_vec = _quadratic_design(window)
     coeffs, resid_norm = solve_least_squares(x_mat, y_vec)
     return SurrogateFit(
         coeffs[:d].copy(),

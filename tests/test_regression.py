@@ -13,7 +13,8 @@ from reszo import (
     rank1_swap_inverse,
     solve_least_squares,
 )
-from reszo.regression import _back_substitute, estimate_condition_number
+from reszo import regression
+from reszo.regression import REGRESSION_MODES, _back_substitute, estimate_condition_number
 
 
 def window_from(points, values, capacity=None, dim=None):
@@ -110,6 +111,26 @@ class TestAssembly:
         win = window_from([[1.0, -1.0], [0.0, 0.0]], [0.0, 0.0])
         x_mat, _ = assemble_quadratic_system(win)
         np.testing.assert_array_equal(x_mat[0], [1.0, -1.0, 0.5, 0.5, 1.0])
+
+    def test_quadratic_design_matches_plain_formula(self):
+        # The design is written into the window's buffer in ring order;
+        # partial, wrapped and unwrapped windows all give the plain
+        # formula's matrix bit for bit, and callers get their own copy.
+        d, m = 5, 7
+        rng = make_rng(36)
+        win = EvaluationWindow(m, d)
+        for i in range(2 * m + 3):
+            p = rng.standard_normal(d)
+            win.push(p, float(np.sin(p).sum()))
+            if len(win) < 2:
+                continue
+            pts, vals = win.points(), win.values()
+            deltas = pts - pts[-1]
+            ref = np.hstack([deltas, 0.5 * deltas * deltas, np.ones((len(pts), 1))])
+            x_mat, y_vec = assemble_quadratic_system(win)
+            assert np.array_equal(x_mat.view(np.uint64), ref.view(np.uint64)), i
+            np.testing.assert_array_equal(y_vec, vals - vals[-1])
+            assert not np.shares_memory(x_mat, win._design)
 
     def test_quadratic_recovers_parabola(self):
         xs = np.array([-1.0, 0.5, 1.5, 2.0])
@@ -379,27 +400,36 @@ def test_back_substitute_matches_solve(n):
     assert np.max(np.abs(x - ref)) <= 1e-10 * (1.0 + np.max(np.abs(ref)))
 
 
-def test_cached_fit_factorizes_once(monkeypatch):
-    # One Cholesky factorization per fit, and only diagonal blocks of
-    # the triangular solve ever reach np.linalg.solve.
-    d, m = 130, 140
-    rng = make_rng(81)
+def full_window(d, m, seed):
+    rng = make_rng(seed)
     win = EvaluationWindow(m, d)
     for _ in range(m + 5):
         p = rng.standard_normal(d)
         win.push(p, float(np.sin(p).sum()))
-    cholesky, solve = np.linalg.cholesky, np.linalg.solve
+    return win
+
+
+def test_cached_fit_factorizes_once(monkeypatch):
+    # One Cholesky factorization per fit, through the module's gufunc and
+    # never through np.linalg.cholesky, and only diagonal blocks of the
+    # triangular solve ever reach np.linalg.solve.
+    win = full_window(130, 140, 81)
+    cholesky_lo, solve = regression._cholesky_lo, np.linalg.solve
     factored, solved = [], []
 
-    def counting_cholesky(a):
+    def counting_cholesky_lo(a, out):
         factored.append(a.shape)
-        return cholesky(a)
+        return cholesky_lo(a, out=out)
+
+    def refused_cholesky(a):
+        raise AssertionError("np.linalg.cholesky called on the cached route")
 
     def sized_solve(a, b):
         solved.append(a.shape[0])
         return solve(a, b)
 
-    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    monkeypatch.setattr(regression, "_cholesky_lo", counting_cholesky_lo)
+    monkeypatch.setattr(np.linalg, "cholesky", refused_cholesky)
     monkeypatch.setattr(np.linalg, "solve", sized_solve)
     for mode in ("intercept_centered", "intercept_raw", "difference_no_intercept"):
         factored.clear()
@@ -408,6 +438,56 @@ def test_cached_fit_factorizes_once(monkeypatch):
         assert fit.solver_path == "cached_moments"
         assert len(factored) == 1, mode
         assert solved and max(solved) <= 64, mode
+
+
+@pytest.mark.filterwarnings("error")
+def test_cached_factor_matches_numpy_cholesky_bitwise():
+    # The private gufunc must keep np.linalg.cholesky's semantics: the
+    # window's row-major buffer holds exactly the transposed factor.
+    win = full_window(130, 140, 84)
+    for mode in ("intercept_centered", "difference_no_intercept"):
+        assert fit_linear(win, mode).solver_path == "cached_moments"
+        ref = np.linalg.cholesky(win._system).T
+        assert win._upper.shape == ref.shape, mode
+        assert np.array_equal(win._upper.view(np.uint64), ref.view(np.uint64)), mode
+
+
+@pytest.mark.filterwarnings("error")
+def test_failed_factorization_takes_pseudoinverse_silently():
+    # A window of one repeated point has a zero Gram: the factorization
+    # fails, leaves NaN in the factor buffer and warns nothing.
+    d, m = 4, 8
+    p = make_rng(85).standard_normal(d)
+    win = EvaluationWindow(m, d)
+    for _ in range(m + 2):
+        win.push(p, 1.5)
+    for mode in ("intercept_centered", "intercept_raw", "difference_no_intercept"):
+        fit = fit_linear(win, mode)
+        assert fit.solver_path == "pseudoinverse", mode
+        assert np.all(np.isnan(win._upper)), mode
+        assert np.all(np.isfinite(fit.g)), mode
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", REGRESSION_MODES + ("quadratic",))
+def test_fits_do_not_alias_window_buffers(mode):
+    # Fit, push, fit again: the first fit's coefficients are unchanged.
+    d, m = 30, 40
+    rng = make_rng(86)
+    win = full_window(d, m, 86)
+    if mode == "quadratic":
+        fit, path = fit_quadratic, "pseudoinverse"
+    else:
+        fit, path = (lambda w: fit_linear(w, mode)), "cached_moments"
+    first = fit(win)
+    kept = [v.copy() for v in (first.g, first.h) if v is not None]
+    p = rng.standard_normal(d)
+    win.push(p, float(np.sin(p).sum()))
+    second = fit(win)
+    assert first.solver_path == second.solver_path == path
+    for before, now in zip(kept, (first.g, first.h)):
+        np.testing.assert_array_equal(now, before)
+    assert not np.array_equal(second.g, kept[0])
 
 
 @pytest.mark.parametrize("slope", [True, False], ids=["linear", "constant"])
@@ -451,11 +531,6 @@ def test_moment_updates_match_fresh_build():
     assert mom.f_sum == pytest.approx(offsets.sum(), abs=1e-13 * scale)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the moment cache's Cholesky check passes on the rounded Gram of a "
-    "rank-deficient full window, so the fit is not the minimum-norm solution",
-)
 def test_rank_deficient_full_window_gives_min_norm_gradient():
     # Two of every three pushes repeat the previous point: a full window
     # of 12 holds at most 4 distinct points in d = 5, so rank(X) < d.
