@@ -101,10 +101,12 @@ def _ridge_functions(h_mat, y_vec, lam):
 def _ridge_constants(h_mat, y_vec, lam):
     """(L, f*) of the ridge objective; f* is ``value`` at the closed form."""
     gram = h_mat.T @ h_mat
-    d = h_mat.shape[1]
-    x_star = np.linalg.solve(gram + lam * np.eye(d), h_mat.T @ y_vec)
+    smoothness = float(np.linalg.eigvalsh(gram)[-1]) + lam
+    # The Gram is not needed again: the ridge system is built in place.
+    gram[np.diag_indices_from(gram)] += lam
+    x_star = np.linalg.solve(gram, h_mat.T @ y_vec)
     value, _ = _ridge_functions(h_mat, y_vec, lam)
-    return float(np.linalg.eigvalsh(gram)[-1]) + lam, value(x_star)
+    return smoothness, value(x_star)
 
 
 @lru_cache(maxsize=None)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -221,29 +222,40 @@ def grid_search(
 # -- export -------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    """17-significant-digit decimal so float64 round-trips exactly."""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    value = float(value)
-    if np.isnan(value):
-        return ""
-    return format(value, ".17g")
+# Column values converted to Python scalars at once while a CSV is written.
+_CSV_CHUNK = 128
+
+
+def _scalars(values, stride: int, dtype):
+    """Every ``stride``-th value as a Python scalar, converted a chunk at
+    a time rather than value by value or all at once."""
+    column = np.asarray(values, dtype=dtype)[::stride]
+    for start in range(0, len(column), _CSV_CHUNK):
+        yield from column[start : start + _CSV_CHUNK].tolist()
+
+
+def _fmt_column(values, stride: int = 1):
+    """17-significant-digit decimals, so a float64 round-trips exactly,
+    and NaN as an empty field."""
+    return ("" if v != v else format(v, ".17g") for v in _scalars(values, stride, np.float64))
+
+
+def _int_column(values, stride: int = 1):
+    return _scalars(values, stride, np.int64)
 
 
 def write_curve_csv(curve: AggregateCurve, path, stride: int = 1) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["queries", "mean_gap", "ci_low", "ci_high"])
-        for i in range(0, len(curve), stride):
-            writer.writerow(
-                [
-                    int(curve.queries[i]),
-                    _fmt(curve.mean_gap[i]),
-                    _fmt(curve.ci_low[i]),
-                    _fmt(curve.ci_high[i]),
-                ]
+        writer.writerows(
+            zip(
+                _int_column(curve.queries, stride),
+                _fmt_column(curve.mean_gap, stride),
+                _fmt_column(curve.ci_low, stride),
+                _fmt_column(curve.ci_high, stride),
             )
+        )
 
 
 def load_curve_csv(path) -> AggregateCurve:
@@ -268,21 +280,20 @@ def write_trials_csv(results: Sequence[TrialResult], path, stride: int = 1) -> N
         writer.writerow(header)
         for res in results:
             tr = res.trace
-            for i in range(0, len(tr), stride):
-                row = [
-                    res.index,
-                    int(tr.iterations[i]),
-                    int(tr.queries[i]),
-                    _fmt(tr.f_values[i]),
-                    _fmt(tr.grad_est_norms[i]),
-                    _fmt(tr.deltas[i]),
-                ]
-                if has_diag:
-                    if tr.has_diagnostics:
-                        row += [_fmt(tr.xi_norms[i]), _fmt(tr.cd_ratios[i])]
-                    else:
-                        row += ["", ""]
-                writer.writerow(row)
+            columns = [
+                repeat(res.index),
+                _int_column(tr.iterations, stride),
+                _int_column(tr.queries, stride),
+                _fmt_column(tr.f_values, stride),
+                _fmt_column(tr.grad_est_norms, stride),
+                _fmt_column(tr.deltas, stride),
+            ]
+            if has_diag:
+                if tr.has_diagnostics:
+                    columns += [_fmt_column(v, stride) for v in (tr.xi_norms, tr.cd_ratios)]
+                else:
+                    columns += [repeat(""), repeat("")]
+            writer.writerows(zip(*columns))
 
 
 def experiment_to_dict(exp: ExperimentConfig) -> dict:
@@ -424,9 +435,7 @@ def write_compare_csv(labels, curves, path, stride: int = 1) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(0, len(grid), stride):
-            row = [int(grid[i])]
-            for label in labels:
-                mean, lo, hi = merged[label]
-                row += [_fmt(mean[i]), _fmt(lo[i]), _fmt(hi[i])]
-            writer.writerow(row)
+        columns = [_int_column(grid, stride)]
+        for label in labels:
+            columns += [_fmt_column(values, stride) for values in merged[label]]
+        writer.writerows(zip(*columns))

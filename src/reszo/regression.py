@@ -13,22 +13,27 @@ supported:
   newest point excluding it, no intercept.
 
 Fit routing: a full window with capacity >= d + 1 is solved from a
-reference-centered moment cache (``cached_moments``): the re-centered
-normal equations, which stay well conditioned however far the window
-drifts from the origin.  One Cholesky factorization of that Gram,
-bordered by its right-hand side, both checks it and solves it.  The
-window keeps the bordered system and its factor in two buffers reused
-from fit to fit, and the factor is written in LAPACK's column-major
-layout, so the buffer holds its transpose in row-major order.  The
-quadratic design is likewise assembled in a buffer the window keeps.
-A Gram that fails the factorization or whose relative pivots reveal
-numerical rank deficiency, and every other window, falls back to a
-minimum-norm pseudoinverse solve; rank deficiency never raises out of
+moment cache (``cached_moments``): the window's sums centered at its
+newest point, which are the normal equations themselves and stay well
+conditioned however far the window sits from the origin.  Each push
+folds the dropped point, the added one and the move of the center into
+one symmetric rank-3 update of the second moments, written in place
+into the top-left block of a bordered-system buffer the window keeps,
+so a fit only writes the O(d) border (its right-hand side and, for the
+intercept modes, the intercept row).  One Cholesky factorization of
+that bordered system both checks the Gram and solves it.  The factor
+lands in a second window-kept buffer in LAPACK's column-major layout,
+so the buffer holds its transpose in row-major order.  The quadratic
+design is likewise assembled in a buffer the window keeps.  A Gram
+that fails the factorization or whose relative pivots reveal numerical
+rank deficiency, and every other window, falls back to a minimum-norm
+pseudoinverse solve; rank deficiency never raises out of
 ``fit_linear``/``fit_quadratic``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,10 +51,13 @@ _SOLVE_RTOL = 1e-6
 _SOLVE_BACKWARD_TOL = 1e-9
 # Denominators below this magnitude make a rank-1 inverse update singular.
 _SWAP_SINGULAR_TOL = 1e-12
-# The moment sums are rebuilt around the newest point once the terms
-# that cancel in re-centering them outweigh the re-centered Gram's
-# trace by this factor; the shipped ridge config peaks near 15.
+# The moment sums are rebuilt from the window once the terms their
+# updates added and cancelled outweigh the Gram's trace by this factor.
 _RECENTER_LIMIT = 100.0
+# Elements of the row-block scratch (256 KB) through which the moment
+# update and the cached residual pass, so neither allocates a d x d or
+# m x d temporary.
+_BLOCK_ELEMENTS = 32768
 # Diagonal block size of the blocked triangular solve.
 _SUBSTITUTION_BLOCK = 64
 # A relative pivot L_ii^2 / G_ii is the squared sine of the angle between
@@ -83,14 +91,17 @@ class SurrogateFit:
 
 
 class _MomentCache:
-    """Window sums centered at a reference point near the data.
+    """Window sums centered at the newest pair ``(c_ref, f_ref)``.
 
-    Centering keeps every quantity at the window-spread scale, so the
-    re-centered Gram assembled from these sums stays accurate no matter
-    how far the trajectory sits from the origin or how small the
-    spread gets, as long as the window stays near the reference.
-    ``mass`` sums the squared norms of every point difference that
-    entered or left ``m_mat``: the scale its rounding error follows.
+    ``m_mat``, ``s_vec``, ``p_vec`` and ``f_sum`` are the sums over the
+    window of (x - c)(x - c)^T, x - c, (x - c)(f - f_ref) and f - f_ref
+    with c = ``c_ref``: the Gram and right-hand sides of the centered
+    normal equations, with no re-centering left for a fit to do.
+    Centering keeps every quantity at the window-spread scale however
+    far the trajectory sits from the origin.  ``m_mat`` is a view of the
+    top-left block of the window's bordered-system buffer.  ``mass``
+    sums the trace of the build and the size of every term a push added
+    to or cancelled from ``m_mat``: the scale its rounding error follows.
     """
 
     __slots__ = (
@@ -111,18 +122,22 @@ class _MomentCache:
 class EvaluationWindow:
     """Ring buffer of the latest ``capacity`` (point, value) pairs.
 
-    Insertion past capacity drops the oldest pair and keeps the
-    centered moment sums in sync (the second moments take one in-place
-    rank-2 update per insertion).  The sums are rebuilt from scratch
-    every ``max(d, 64)`` updates to bound floating-point drift.
+    Insertion past capacity drops the oldest pair and keeps the moment
+    sums, centered at the newest point, in sync: the second moments take
+    one in-place symmetric rank-3 update per insertion that drops the
+    oldest point, adds the new one and moves the center to it.  The sums
+    are rebuilt from scratch every ``max(d, 64)`` updates, and when the
+    terms the updates cancelled outweigh the Gram, to bound
+    floating-point drift.
 
-    The window also keeps its fits' buffers, so a fit allocates no large
-    temporaries: the linear fit's two (k+1)x(k+1) buffers, the bordered
-    normal matrix and its Cholesky factor, which LAPACK writes
-    column-major so the buffer holds the upper factor L^T row-major; and
-    the quadratic fit's (m, 2d+1) design.  Each is allocated on first
-    use and reused while its shape stays the same; no fit returns a view
-    of them.
+    The window also keeps its fits' buffers, so neither a push nor a fit
+    allocates a d x d or m x d temporary: the (d+2)x(d+2) bordered normal
+    matrix, whose top-left d x d block holds the second moments; the
+    linear fit's (k+1)x(k+1) Cholesky factor, which LAPACK writes
+    column-major so the buffer holds the upper factor L^T row-major; a
+    row-block scratch; and the quadratic fit's (m, 2d+1) design.  Each is
+    allocated on first use and reused while its shape stays the same; no
+    fit returns a view of them.
     """
 
     def __init__(self, capacity: int, dim: int):
@@ -140,6 +155,7 @@ class EvaluationWindow:
         self._mom: Optional[_MomentCache] = None
         self._system: Optional[np.ndarray] = None
         self._upper: Optional[np.ndarray] = None
+        self._scratch: Optional[np.ndarray] = None
         self._design: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
@@ -202,22 +218,50 @@ class EvaluationWindow:
 
     # -- caches ----------------------------------------------------------
 
+    def _row_blocks(self, n_rows: int, width: int):
+        """Yield ``(start, stop, block)`` over ``n_rows`` rows in blocks
+        of at most ``_BLOCK_ELEMENTS`` elements, ``block`` being a
+        (stop - start, width) view of the window's row-block scratch."""
+        if self._scratch is None:
+            size = min(_BLOCK_ELEMENTS, self.capacity * (self.dim + 2))
+            self._scratch = np.empty(max(size, self.dim + 2))
+        rows = self._scratch.size // width
+        for start in range(0, n_rows, rows):
+            stop = min(start + rows, n_rows)
+            yield start, stop, self._scratch[: (stop - start) * width].reshape(-1, width)
+
     def _update_caches(self, drop_pt, drop_val, add_pt, add_val):
         mom = self._mom
-        if mom is not None:
-            if mom.updates + 1 >= self._rebuild_every:
-                self._mom = None  # rebuilt with a fresh reference next fit
-            else:
-                da = add_pt - mom.c_ref
-                dd = drop_pt - mom.c_ref
-                va = add_val - mom.f_ref
-                vd = drop_val - mom.f_ref
-                mom.m_mat += np.stack((da, -dd), 1) @ np.stack((da, dd))
-                mom.s_vec += da - dd
-                mom.p_vec += da * va - dd * vd
-                mom.f_sum += va - vd
-                mom.mass += float(da @ da + dd @ dd)
-                mom.updates += 1
+        if mom is None:
+            return
+        if mom.updates + 1 >= self._rebuild_every:
+            self._mom = None  # rebuilt from the window at the next fit
+            return
+        m = self.capacity
+        u_vec = add_pt - mom.c_ref
+        dd = drop_pt - mom.c_ref
+        phi = add_val - mom.f_ref
+        vd = drop_val - mom.f_ref
+        # Drop dd, add u, then move the center by u with the updated
+        # s' = s - dd + u:  M - dd dd^T + u u^T - u s'^T - s' u^T + m u u^T
+        # = M + u w^T + w u^T - dd dd^T.
+        w_vec = (0.5 * (m - 1)) * u_vec - mom.s_vec + dd
+        left = np.array((u_vec, w_vec, dd)).T
+        right = np.zeros((3, self.dim + 2))
+        right[:, : self.dim] = (w_vec, u_vec, -dd)
+        # Full-width row blocks are contiguous; the border gets +0.0.
+        for start, stop, block in self._row_blocks(self.dim, self.dim + 2):
+            np.matmul(left[start:stop], right, out=block)
+            self._system[start:stop] += block
+        # The same drop, add and move for the first moments.
+        mom.p_vec += (dd - mom.s_vec) * phi - dd * vd
+        mom.p_vec += u_vec * (vd - mom.f_sum + (m - 1) * phi)
+        mom.s_vec -= dd + (m - 1) * u_vec
+        mom.f_sum -= vd + (m - 1) * phi
+        mom.mass += float(dd @ dd) + 2.0 * math.sqrt(float(u_vec @ u_vec) * float(w_vec @ w_vec))
+        mom.c_ref = add_pt.copy()
+        mom.f_ref = add_val
+        mom.updates += 1
 
     def inverse_cache(self):
         """Always None: no fit route keeps a Gram-inverse cache.
@@ -228,37 +272,38 @@ class EvaluationWindow:
         return None
 
     def moment_cache(self) -> Optional[_MomentCache]:
-        """Centered window sums, built lazily on a full window.
+        """Window sums centered at the newest point, built lazily on a
+        full window.
 
-        The sums are rebuilt around the newest point when the window
-        has drifted or shrunk so far from the reference that
-        re-centering them would lose more than ``_RECENTER_LIMIT``
-        times the rounding of a fresh build.
+        The sums are rebuilt from the window when the terms the updates
+        added and cancelled outweigh the Gram's trace by more than
+        ``_RECENTER_LIMIT``, as they do once the window shrinks far
+        below the scale it spanned.
         """
         if not self.is_full:
             return None
         mom = self._mom
-        if mom is not None:
-            u_vec = self.newest_point() - mom.c_ref
-            uu = float(u_vec @ u_vec)
-            m = self.capacity
-            trace = float(np.trace(mom.m_mat)) - 2.0 * float(u_vec @ mom.s_vec) + m * uu
-            if mom.mass + m * uu > _RECENTER_LIMIT * trace:
-                self._mom = None
-        if self._mom is None:
+        if mom is not None and mom.mass > _RECENTER_LIMIT * float(np.trace(mom.m_mat)):
+            mom = self._mom = None
+        if mom is None:
+            d = self.dim
+            if self._system is None:
+                self._system = np.empty((d + 2, d + 2))
             c_ref = self.newest_point().copy()
             f_ref = self.newest_value()
             deltas = self._pts - c_ref
             offsets = self._vals - f_ref
-            self._mom = _MomentCache(
+            m_mat = self._system[:d, :d]
+            np.matmul(deltas.T, deltas, out=m_mat)
+            mom = self._mom = _MomentCache(
                 c_ref,
                 f_ref,
-                deltas.T @ deltas,
+                m_mat,
                 deltas.sum(axis=0),
                 deltas.T @ offsets,
                 float(offsets.sum()),
             )
-        return self._mom
+        return mom
 
 
 # -- system assembly -----------------------------------------------------
@@ -458,33 +503,25 @@ def _fit_linear_cached_moments(window: EvaluationWindow, mode: str):
     m = window.capacity
     d = window.dim
     k = d if mode == "difference_no_intercept" else d + 1
-    x_new = window.newest_point()
-    f_new = window.newest_value()
-    u_vec = x_new - mom.c_ref
-    phi = f_new - mom.f_ref
+    # The sums are centered at the newest pair, whose own difference row
+    # is identically zero: full-window sums equal those over the m - 1
+    # older points, and the Gram block is already in place.
+    x_new, f_new = mom.c_ref, mom.f_ref
     offsets = window._vals - f_new
     # The normal matrix bordered by its right-hand side b, with a corner
     # above b^T G^-1 b = |P y|^2 <= |y|^2: its Cholesky factor is
     # [[L, 0], [z^T, *]] with L z = b, so one factorization both checks
     # G and leaves only L^T x = z to solve.
-    system, upper = window._system, window._upper
-    if system is None or system.shape[0] != k + 1:
-        system = window._system = np.empty((k + 1, k + 1))
-        upper = window._upper = np.empty_like(system)
-    gram = system[:d, :d]
-    # Re-center the sums at the newest point:
-    # M - u s^T - s u^T + m u u^T = M + u w^T + w u^T, w = (m/2) u - s.
-    # The newest point's own difference row is identically zero, so
-    # full-window sums equal the sums over the m-1 older points.
-    w_vec = 0.5 * m * u_vec - mom.s_vec
-    np.matmul(np.stack((u_vec, w_vec), 1), np.stack((w_vec, u_vec)), out=gram)
-    gram += mom.m_mat
+    system = window._system[: k + 1, : k + 1]
+    upper = window._upper
+    if upper is None or upper.shape[0] != k + 1:
+        upper = window._upper = np.empty((k + 1, k + 1))
     rhs = system[k, :k]
-    rhs[:d] = mom.p_vec - u_vec * mom.f_sum - mom.s_vec * phi + m * (u_vec * phi)
+    rhs[:d] = mom.p_vec
     if mode != "difference_no_intercept":
-        system[d, :d] = system[:d, d] = mom.s_vec - m * u_vec
+        system[d, :d] = system[:d, d] = mom.s_vec
         system[d, d] = m
-        rhs[d] = mom.f_sum - m * phi
+        rhs[d] = mom.f_sum
     system[:k, k] = rhs  # symmetric, whichever triangle cholesky reads
     system[k, k] = 2.0 * float(offsets @ offsets) + 1.0
     # Column-major L is row-major L^T: the substitution reads row blocks.
@@ -506,8 +543,14 @@ def _fit_linear_cached_moments(window: EvaluationWindow, mode: str):
             c = c_delta
         else:
             c = c_delta - float(g @ x_new) + f_new
-    # Differences, not raw points: a window far from the origin keeps its digits.
-    resid = (window._pts - x_new) @ g + c_delta - offsets
+    # Differences, not raw points: a window far from the origin keeps its
+    # digits.  They pass through the row-block scratch.
+    resid = np.empty(m)
+    for start, stop, block in window._row_blocks(m, d):
+        np.subtract(window._pts[start:stop], x_new, out=block)
+        np.matmul(block, g, out=resid[start:stop])
+    resid += c_delta
+    resid -= offsets
     resid_norm = float(np.linalg.norm(resid))
     return SurrogateFit(g, None, c, resid_norm, "cached_moments")
 

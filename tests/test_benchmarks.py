@@ -21,8 +21,10 @@ from reszo.benchmarks import (
     _layer_width,
     _logistic_data,
     _nn_data,
+    _ridge_constants,
     _ridge_constants_cached,
     _ridge_data,
+    _ridge_functions,
     pack_parameters,
     sigmoid,
     unpack_parameters,
@@ -78,6 +80,19 @@ class TestRidge:
         x = np.zeros(self.spec.d)
         lhs = np.linalg.norm(obj.gradient(x + v) - obj.gradient(x))
         assert lhs <= obj.smoothness_L * (1 + 1e-12)
+
+    @pytest.mark.parametrize("d, n", [(8, 60), (100, 1000)])
+    def test_constants_match_shifted_gram_bitwise(self, d, n):
+        # L and f* from the Gram shifted in place equal, bit for bit, those
+        # from the explicit gram + lam * I.
+        lam = 0.1
+        h_mat, y_vec = _ridge_data(d, n, 5)
+        gram = h_mat.T @ h_mat
+        x_star = np.linalg.solve(gram + lam * np.eye(d), h_mat.T @ y_vec)
+        value, _ = _ridge_functions(h_mat, y_vec, lam)
+        expected = np.array([np.linalg.eigvalsh(gram)[-1] + lam, value(x_star)])
+        got = np.array(_ridge_constants(h_mat, y_vec, lam))
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     def test_initial_point_is_origin_with_positive_gap(self):
         obj = make_objective(self.spec)

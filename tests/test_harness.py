@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -11,6 +13,7 @@ from reszo import (
     ExperimentFailedError,
     OptimizerConfig,
     RunTrace,
+    TrialResult,
     aggregate_trials,
     experiment_from_dict,
     experiment_to_dict,
@@ -21,7 +24,12 @@ from reszo import (
     merge_curves,
     run_experiment,
 )
-from reszo.harness import queries_to_reach, write_compare_csv
+from reszo.harness import (
+    queries_to_reach,
+    write_compare_csv,
+    write_curve_csv,
+    write_trials_csv,
+)
 
 
 def synthetic_trace(queries, f_values, diverged=False):
@@ -244,6 +252,73 @@ class TestExport:
         rows_a = (tmp_path / "a" / "curve.csv").read_text().splitlines()
         rows_b = (tmp_path / "b" / "curve.csv").read_text().splitlines()
         assert len(rows_b) - 1 == (len(rows_a) - 1 + 4) // 5
+
+
+def _fmt_value(value) -> str:
+    """The per-value formatter the column-wise CSV writers replace."""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    value = float(value)
+    if np.isnan(value):
+        return ""
+    return format(value, ".17g")
+
+
+def _csv_bytes(rows) -> bytes:
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_csv_writers_match_per_value_formatting(tmp_path, stride):
+    # Byte for byte against the value-by-value writers, on traces with
+    # NaN and inf entries, NaN diagnostic columns, a trial without
+    # diagnostics next to one with them, and values that need all 17 digits.
+    rng = np.random.default_rng(7)
+    n = 11
+    diag = synthetic_trace(np.arange(1, n + 1), rng.standard_normal(n) * 1e5)
+    diag.f_values[4] = np.nan
+    diag.deltas[:] = rng.random(n) / 3.0
+    diag.deltas[2] = np.inf
+    diag.xi_norms = np.full(n, np.nan)
+    diag.xi_norms[::4] = rng.random(3)
+    diag.cd_ratios = np.full(n, np.nan)
+    plain = synthetic_trace(np.arange(2, 2 * n + 2, 2), 1.0 / np.arange(1, n + 1))
+    results = [TrialResult(0, 10, diag), TrialResult(1, 11, plain)]
+    rows = [["trial", "iteration", "queries", "f_value", "grad_est_norm", "delta_t"]]
+    rows[0] += ["xi_norm", "cd_ratio"]
+    for res in results:
+        tr = res.trace
+        for i in range(0, len(tr), stride):
+            row = [res.index, int(tr.iterations[i]), int(tr.queries[i])]
+            row += [_fmt_value(v[i]) for v in (tr.f_values, tr.grad_est_norms, tr.deltas)]
+            if tr.has_diagnostics:
+                row += [_fmt_value(tr.xi_norms[i]), _fmt_value(tr.cd_ratios[i])]
+            else:
+                row += ["", ""]
+            rows.append(row)
+    write_trials_csv(results, tmp_path / "trials.csv", stride=stride)
+    assert (tmp_path / "trials.csv").read_bytes() == _csv_bytes(rows)
+
+    curves = [
+        AggregateCurve(diag.queries, diag.f_values, diag.deltas, diag.xi_norms),
+        AggregateCurve(plain.queries, plain.f_values, plain.deltas, plain.grad_est_norms),
+    ]
+    rows = [["queries", "mean_gap", "ci_low", "ci_high"]]
+    c = curves[0]
+    for i in range(0, len(c), stride):
+        columns = (c.mean_gap, c.ci_low, c.ci_high)
+        rows.append([int(c.queries[i])] + [_fmt_value(v[i]) for v in columns])
+    write_curve_csv(c, tmp_path / "curve.csv", stride=stride)
+    assert (tmp_path / "curve.csv").read_bytes() == _csv_bytes(rows)
+
+    grid, merged = merge_curves(["a", "b"], curves)
+    rows = [["queries"] + [f"{k}_{col}" for k in "ab" for col in ("mean", "ci_low", "ci_high")]]
+    for i in range(0, len(grid), stride):
+        rows.append([int(grid[i])] + [_fmt_value(v[i]) for k in "ab" for v in merged[k]])
+    write_compare_csv(["a", "b"], curves, tmp_path / "cmp.csv", stride=stride)
+    assert (tmp_path / "cmp.csv").read_bytes() == _csv_bytes(rows)
 
 
 def test_experiment_dict_roundtrip():
