@@ -296,18 +296,22 @@ def _nn_data(d, n_samples, seed):
     return x_star, inputs, targets
 
 
-def make_neural_net(spec: BenchmarkSpec) -> BlackBoxObjective:
-    """Teacher-student squared-error loss; treated as a pure black box."""
-    if spec.problem != "neural_net":
-        raise ValueError("spec.problem must be 'neural_net'")
-    width = _layer_width(spec.d)
-    _, inputs, targets = _nn_data(spec.d, spec.n_samples, spec.seed)
+def _nn_objective(d, inputs, targets):
+    width = _layer_width(d)
 
     def value(x):
         err = _nn_forward(x, inputs, width) - targets
         return float(err @ err)
 
-    return BlackBoxObjective(spec.d, value, optimum_value=0.0, name="neural_net")
+    return BlackBoxObjective(d, value, optimum_value=0.0, name="neural_net")
+
+
+def make_neural_net(spec: BenchmarkSpec) -> BlackBoxObjective:
+    """Teacher-student squared-error loss; treated as a pure black box."""
+    if spec.problem != "neural_net":
+        raise ValueError("spec.problem must be 'neural_net'")
+    _, inputs, targets = _nn_data(spec.d, spec.n_samples, spec.seed)
+    return _nn_objective(spec.d, inputs, targets)
 
 
 # -- common interface ---------------------------------------------------------
@@ -402,11 +406,4 @@ def objective_from_dataset(spec: BenchmarkSpec, arrays) -> BlackBoxObjective:
         return _logistic_objective(s_mat, labels, spec.lam, smoothness, fstar)
     if spec.problem == "rosenbrock":
         return make_rosenbrock(spec)
-    width = _layer_width(spec.d)
-    inputs, targets = arrays["inputs"], arrays["targets"]
-
-    def value(x):
-        err = _nn_forward(x, inputs, width) - targets
-        return float(err @ err)
-
-    return BlackBoxObjective(spec.d, value, optimum_value=0.0, name="neural_net")
+    return _nn_objective(spec.d, arrays["inputs"], arrays["targets"])

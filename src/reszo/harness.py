@@ -90,9 +90,13 @@ def _run_single_trial(exp: ExperimentConfig, obj: BlackBoxObjective, k: int) -> 
         trace = run_optimizer(obj, cfg, x0, diagnostics=collector)
     except DivergenceError as exc:
         trace, reason = exc.trace, str(exc)
-        if collector is not None and trace is not None:
-            collector.attach_to_trace(trace)
     return TrialResult(index=k, seed=seed, trace=trace, divergence_reason=reason)
+
+
+def _hold_previous(queries: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Index of the last record at or before each grid point, holding
+    the first record before it."""
+    return np.clip(np.searchsorted(queries, grid, side="right") - 1, 0, len(queries) - 1)
 
 
 def aggregate_trials(
@@ -113,11 +117,7 @@ def aggregate_trials(
     grid = np.unique(np.concatenate([t.queries for t in live]))
     gap_matrix = np.empty((len(live), len(grid)))
     for i, trace in enumerate(live):
-        gaps = trace.f_values - optimum_value
-        idx = np.searchsorted(trace.queries, grid, side="right") - 1
-        # Before a trace's first record, hold its first value.
-        idx = np.clip(idx, 0, len(trace) - 1)
-        gap_matrix[i] = gaps[idx]
+        gap_matrix[i] = (trace.f_values - optimum_value)[_hold_previous(trace.queries, grid)]
     mean = gap_matrix.mean(axis=0)
     lo_pct = 100.0 * (1.0 - confidence) / 2.0
     hi_pct = 100.0 * (1.0 + confidence) / 2.0
@@ -416,9 +416,7 @@ def merge_curves(labels: Sequence[str], curves: Sequence[AggregateCurve]):
     grid = np.unique(np.concatenate([c.queries for c in curves]))
     merged = {}
     for label, curve in zip(labels, curves):
-        idx = np.clip(
-            np.searchsorted(curve.queries, grid, side="right") - 1, 0, len(curve) - 1
-        )
+        idx = _hold_previous(curve.queries, grid)
         merged[label] = (
             curve.mean_gap[idx],
             curve.ci_low[idx],

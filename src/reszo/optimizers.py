@@ -1,11 +1,15 @@
-"""Iteration drivers for the five zeroth-order methods.
+"""One iteration driver, ``run_optimizer``, for the five zeroth-order methods.
 
 ``szo``, ``rszo`` and ``tzo`` are the classic estimator-based updates.
-``l_reszo`` and ``q_reszo`` run a residual-feedback warm start for the
-first ``window_m`` iterations to populate the evaluation window, then
+``l_reszo`` and ``q_reszo`` are rszo for their first ``window_m``
+iterations (the warm start that fills the evaluation window), then
 switch to surrogate-regression gradient estimates, querying the
 objective exactly once per iteration throughout (plus the single seed
-evaluation that primes the residual feedback).
+evaluation that primes the residual feedback).  ``run_baseline``,
+``run_l_reszo`` and ``run_q_reszo`` are the driver behind a check of
+``cfg.method``.  The driver looks its estimators, fits and sampler up
+by module-level name at call time, so patching those names reroutes
+every call.
 """
 
 from __future__ import annotations
@@ -130,7 +134,10 @@ class RunTrace:
 
 
 class _TraceBuilder:
-    def __init__(self):
+    """Per-iteration scalars; finalize attaches the observer's columns."""
+
+    def __init__(self, diagnostics=None):
+        self.diagnostics = diagnostics
         self.iterations = []
         self.queries = []
         self.f_values = []
@@ -138,7 +145,7 @@ class _TraceBuilder:
         self.deltas = []
         self.solver_paths = []
 
-    def add(self, t, queries, f_value, grad_norm, delta, path=0):
+    def add(self, t, queries, f_value, grad_norm, delta, path):
         self.iterations.append(t)
         self.queries.append(queries)
         self.f_values.append(f_value)
@@ -147,7 +154,7 @@ class _TraceBuilder:
         self.solver_paths.append(path)
 
     def finalize(self, x, diverged=False, divergence_iteration=None) -> RunTrace:
-        return RunTrace(
+        trace = RunTrace(
             iterations=np.asarray(self.iterations, dtype=np.int64),
             queries=np.asarray(self.queries, dtype=np.int64),
             f_values=np.asarray(self.f_values, dtype=np.float64),
@@ -158,6 +165,9 @@ class _TraceBuilder:
             diverged=diverged,
             divergence_iteration=divergence_iteration,
         )
+        if self.diagnostics is not None:
+            self.diagnostics.attach_to_trace(trace)
+        return trace
 
 
 def adaptive_delta(eta: float, g_prev: np.ndarray, delta_min: float = 0.0) -> float:
@@ -177,22 +187,25 @@ def _guarded_evaluate(obj, x, builder, t):
         _diverge(builder, x, t, str(exc))
 
 
-def run_baseline(
+def run_optimizer(
     obj: BlackBoxObjective,
     cfg: OptimizerConfig,
     x0: np.ndarray,
     diagnostics=None,
 ) -> RunTrace:
-    """Run one of the classic estimators (szo, rszo, tzo).
+    """Run cfg.method from x0 and return its trace.
 
-    The residual-feedback method spends one extra evaluation before
-    iteration 0 to seed its previous-value state.  Raises
-    DivergenceError (with the partial trace attached) on non-finite or
-    runaway values.
+    Every method starts with an estimator phase: all iterations for the
+    baselines, the first ``window_m`` (the rszo warm start, at
+    ``warm_eta``/``warm_delta``) for the regression methods, which then
+    take surrogate-fit steps.  Residual-feedback methods spend one
+    seed evaluation before iteration 0.  Raises DivergenceError, with
+    the partial trace (and its diagnostics columns, when observed)
+    attached, on a failed evaluation or a runaway value.
     """
-    if cfg.method not in ("szo", "rszo", "tzo"):
-        raise ValueError(f"run_baseline cannot run method {cfg.method!r}")
-    if diagnostics is not None:
+    method = cfg.method
+    regression = method in REGRESSION_METHODS
+    if diagnostics is not None and not regression:
         raise ValueError("diagnostics collectors require a regression method")
     d = obj.dimension
     rng = make_rng(cfg.seed)
@@ -200,68 +213,46 @@ def run_baseline(
     x = np.array(x0, dtype=np.float64)
     if x.shape != (d,):
         raise ValueError(f"x0 must have shape ({d},)")
-    builder = _TraceBuilder()
+    builder = _TraceBuilder(diagnostics)
     q0 = obj.query_count
-    eta, delta = cfg.eta, cfg.delta
+    if regression:
+        n_estimator, eta_e, delta_e = cfg.window_m, cfg.warm_eta, cfg.warm_delta
+        window = EvaluationWindow(cfg.window_m, d)
+        delta_floor = cfg.effective_delta_min()
+    else:
+        n_estimator, eta_e, delta_e = cfg.iterations, cfg.eta, cfg.delta
+        window = None
+
     prev = None
-    if cfg.method == "rszo":
+    if method not in ("szo", "tzo"):
+        # Seed evaluation priming the residual feedback; in a window it
+        # ages out by the time the regression phase starts.
         u = sampler(rng, d)
-        prev = _guarded_evaluate(obj, x + delta * u, builder, 0)
+        xh = x + delta_e * u
+        prev = _guarded_evaluate(obj, xh, builder, 0)
+        if window is not None:
+            window.push(xh, prev)
+
+    g_prev = None
     for t in range(cfg.iterations):
         u = sampler(rng, d)
-        try:
-            if cfg.method == "szo":
-                out = szo_estimate(obj, x, u, delta)
-            elif cfg.method == "rszo":
-                out = rszo_estimate(obj, x, u, delta, prev)
-                prev = out.last_value
-            else:
-                out = tzo_estimate(obj, x, u, delta)
-        except EvaluationFailureError as exc:
-            _diverge(builder, x, t, str(exc))
-        g = out.gradient_estimate
-        fv = out.last_value
-        builder.add(t, obj.query_count - q0, fv, float(np.linalg.norm(g)), delta)
-        if abs(fv) > DIVERGENCE_THRESHOLD:
-            _diverge(builder, x, t, f"|f| exceeded {DIVERGENCE_THRESHOLD:g}")
-        x = x - eta * g
-    return builder.finalize(x)
-
-
-def _run_reszo(obj, cfg, x0, quadratic, diagnostics):
-    d = obj.dimension
-    m = cfg.window_m
-    rng = make_rng(cfg.seed)
-    sampler = get_sampler(cfg.direction)
-    x = np.array(x0, dtype=np.float64)
-    if x.shape != (d,):
-        raise ValueError(f"x0 must have shape ({d},)")
-    builder = _TraceBuilder()
-    q0 = obj.query_count
-    delta_floor = cfg.effective_delta_min()
-    window = EvaluationWindow(m, d)
-
-    # Seed evaluation priming the residual feedback; it enters the
-    # window but ages out by the time the regression phase starts.
-    u = sampler(rng, d)
-    xh = x + cfg.warm_delta * u
-    prev = _guarded_evaluate(obj, xh, builder, 0)
-    window.push(xh, prev)
-
-    g_prev = np.zeros(d)
-    for t in range(cfg.iterations):
-        u = sampler(rng, d)
-        if t < m:
-            delta_t = cfg.warm_delta
+        path = 0
+        if t < n_estimator:
+            delta_t, eta_t = delta_e, eta_e
             try:
-                out = rszo_estimate(obj, x, u, delta_t, prev)
+                if method == "szo":
+                    out = szo_estimate(obj, x, u, delta_t)
+                elif method == "tzo":
+                    out = tzo_estimate(obj, x, u, delta_t)
+                else:
+                    out = rszo_estimate(obj, x, u, delta_t, prev)
+                    prev = out.last_value
             except EvaluationFailureError as exc:
                 _diverge(builder, x, t, str(exc))
             estimate = out.gradient_estimate
-            fv = prev = out.last_value
-            window.push(x + delta_t * u, fv)
-            eta_t = cfg.warm_eta
-            path = 0
+            fv = out.last_value
+            if window is not None:
+                window.push(x + delta_t * u, fv)
         else:
             if cfg.adaptive_delta:
                 delta_t = adaptive_delta(cfg.eta, g_prev, delta_floor)
@@ -270,7 +261,7 @@ def _run_reszo(obj, cfg, x0, quadratic, diagnostics):
             xh = x + delta_t * u
             fv = _guarded_evaluate(obj, xh, builder, t)
             window.push(xh, fv)
-            if quadratic:
+            if method == "q_reszo":
                 fit = fit_quadratic(window)
                 estimate = fit.g - delta_t * fit.h * u
             else:
@@ -287,10 +278,19 @@ def _run_reszo(obj, cfg, x0, quadratic, diagnostics):
             _diverge(builder, x, t, f"|f| exceeded {DIVERGENCE_THRESHOLD:g}")
         x = x - eta_t * estimate
         g_prev = estimate
-    trace = builder.finalize(x)
-    if diagnostics is not None:
-        diagnostics.attach_to_trace(trace)
-    return trace
+    return builder.finalize(x)
+
+
+def run_baseline(
+    obj: BlackBoxObjective,
+    cfg: OptimizerConfig,
+    x0: np.ndarray,
+    diagnostics=None,
+) -> RunTrace:
+    """run_optimizer for one of the classic estimators (szo, rszo, tzo)."""
+    if cfg.method in REGRESSION_METHODS:
+        raise ValueError(f"run_baseline cannot run method {cfg.method!r}")
+    return run_optimizer(obj, cfg, x0, diagnostics)
 
 
 def run_l_reszo(
@@ -299,10 +299,10 @@ def run_l_reszo(
     x0: np.ndarray,
     diagnostics=None,
 ) -> RunTrace:
-    """Linear surrogate-regression method."""
+    """run_optimizer for the linear surrogate-regression method."""
     if cfg.method != "l_reszo":
         raise ValueError(f"run_l_reszo cannot run method {cfg.method!r}")
-    return _run_reszo(obj, cfg, x0, quadratic=False, diagnostics=diagnostics)
+    return run_optimizer(obj, cfg, x0, diagnostics)
 
 
 def run_q_reszo(
@@ -311,7 +311,7 @@ def run_q_reszo(
     x0: np.ndarray,
     diagnostics=None,
 ) -> RunTrace:
-    """Quadratic surrogate-regression method.
+    """run_optimizer for the quadratic surrogate-regression method.
 
     Identical protocol to the linear variant, but fits a diagonal
     quadratic and evaluates the surrogate gradient at the unperturbed
@@ -319,18 +319,4 @@ def run_q_reszo(
     """
     if cfg.method != "q_reszo":
         raise ValueError(f"run_q_reszo cannot run method {cfg.method!r}")
-    return _run_reszo(obj, cfg, x0, quadratic=True, diagnostics=diagnostics)
-
-
-def run_optimizer(
-    obj: BlackBoxObjective,
-    cfg: OptimizerConfig,
-    x0: np.ndarray,
-    diagnostics=None,
-) -> RunTrace:
-    """Dispatch to the driver for cfg.method."""
-    if cfg.method == "l_reszo":
-        return run_l_reszo(obj, cfg, x0, diagnostics)
-    if cfg.method == "q_reszo":
-        return run_q_reszo(obj, cfg, x0, diagnostics)
-    return run_baseline(obj, cfg, x0, diagnostics)
+    return run_optimizer(obj, cfg, x0, diagnostics)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import reszo.harness
 from reszo import (
     BenchmarkSpec,
     BlackBoxObjective,
+    DivergenceError,
+    ExperimentConfig,
     OptimizerConfig,
     attach_diagnostics,
     cd_ratio,
@@ -11,8 +14,10 @@ from reszo import (
     finite_difference_gradient,
     make_objective,
     make_rng,
+    run_experiment,
     run_optimizer,
 )
+from reszo.diagnostics import DiagnosticsCollector
 
 
 class TestFiniteDifferenceGradient:
@@ -170,3 +175,51 @@ def test_diagnosed_run_gradient_calls(method, per_iteration):
     attach_diagnostics(obj, cfg, np.zeros(4))
     assert len(calls) == per_iteration * (cfg.iterations - cfg.window_m)
     assert obj.query_count == cfg.iterations + 1
+
+
+def spiking_objective(d, spike_call):
+    """(x - 1)^2 summed, except a runaway value on one call."""
+    calls = [0]
+
+    def value(x):
+        calls[0] += 1
+        return 1e13 if calls[0] == spike_call else float((x - 1.0) @ (x - 1.0))
+
+    return BlackBoxObjective(
+        d, value, analytic_gradient=lambda x: 2.0 * (x - 1.0), smoothness_L=2.0
+    )
+
+
+def assert_partial_diagnostics(trace, cfg, diverged_at):
+    assert trace.diverged and trace.divergence_iteration == diverged_at
+    assert len(trace.xi_norms) == len(trace.cd_ratios) == len(trace) == diverged_at + 1
+    m = cfg.window_m
+    assert np.all(np.isnan(trace.xi_norms[:m]))
+    assert np.all(np.isfinite(trace.xi_norms[m:]))
+    assert np.all(np.isfinite(trace.cd_ratios[m:]))
+
+
+class TestDivergedDiagnosedRun:
+    # The seed evaluation is call 1 and iteration t is call t + 2, so a
+    # runaway value on call 12 diverges the run at post-warm iteration 10.
+    CFG = reszo_cfg(window_m=6, iterations=20, eta=1e-2)
+
+    def test_direct_call_keeps_diagnostics(self):
+        obj = spiking_objective(4, spike_call=12)
+        with pytest.raises(DivergenceError) as err:
+            run_optimizer(obj, self.CFG, np.zeros(4), diagnostics=DiagnosticsCollector(obj))
+        assert_partial_diagnostics(err.value.trace, self.CFG, diverged_at=10)
+
+    def test_run_experiment_keeps_diagnostics(self, monkeypatch):
+        # Trials share one objective, so only trial 0 sees the spike.
+        obj = spiking_objective(4, spike_call=12)
+        monkeypatch.setattr(reszo.harness, "make_objective", lambda spec: obj)
+        exp = ExperimentConfig(
+            BenchmarkSpec("ridge", d=4, n_samples=10),
+            self.CFG,
+            trials=2,
+            record_diagnostics=True,
+        )
+        results, curve = run_experiment(exp)
+        assert curve.diverged_count == 1 and not results[1].diverged
+        assert_partial_diagnostics(results[0].trace, self.CFG, diverged_at=10)

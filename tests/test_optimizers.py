@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import reszo.optimizers
 from reszo import (
     BenchmarkSpec,
     BlackBoxObjective,
@@ -267,3 +270,61 @@ def test_gaussian_direction_mode_runs_and_differs():
     )
     assert np.all(np.isfinite(gaussian.f_values))
     assert not np.array_equal(sphere.f_values, gaussian.f_values)
+
+
+class TestSingleDriver:
+    """All five methods run through one loop; these pin what it must keep."""
+
+    LAYER_NAMES = (
+        "szo_estimate",
+        "rszo_estimate",
+        "tzo_estimate",
+        "fit_linear",
+        "fit_quadratic",
+        "get_sampler",
+    )
+
+    @pytest.mark.parametrize("method", ["szo", "rszo", "tzo", "l_reszo", "q_reszo"])
+    def test_layer_functions_looked_up_by_name_at_call_time(self, method):
+        # Tracers patch these module-level names; a driver that bound
+        # them at import time would bypass the patches.
+        obj = make_objective(BenchmarkSpec("ridge", d=4, n_samples=16, seed=9))
+        if method in ("l_reszo", "q_reszo"):
+            cfg = reszo_cfg(method=method, window_m=6, iterations=15, eta=1e-5)
+            n_estimator = cfg.window_m
+        else:
+            cfg = OptimizerConfig(method=method, eta=1e-5, delta=0.05, iterations=15)
+            n_estimator = cfg.iterations
+        estimator = "rszo" if method in ("l_reszo", "q_reszo") else method
+        expected = dict.fromkeys(self.LAYER_NAMES, 0)
+        expected[f"{estimator}_estimate"] = n_estimator
+        if method == "l_reszo":
+            expected["fit_linear"] = cfg.iterations - cfg.window_m
+        if method == "q_reszo":
+            expected["fit_quadratic"] = cfg.iterations - cfg.window_m
+        expected["get_sampler"] = 1
+        counters = {
+            name: mock.Mock(wraps=getattr(reszo.optimizers, name)) for name in self.LAYER_NAMES
+        }
+        with mock.patch.multiple(reszo.optimizers, **counters):
+            run_optimizer(obj, cfg, np.zeros(4))
+        assert {name: c.call_count for name, c in counters.items()} == expected
+
+    @pytest.mark.parametrize("method", ["l_reszo", "q_reszo"])
+    @pytest.mark.parametrize("direction", ["sphere", "gaussian"])
+    def test_warm_phase_is_rszo(self, method, direction):
+        spec = BenchmarkSpec("ridge", d=4, n_samples=16, seed=9)
+        cfg = reszo_cfg(method=method, window_m=7, iterations=15, direction=direction, seed=4)
+        warm = OptimizerConfig(
+            method="rszo",
+            eta=cfg.warm_eta,
+            delta=cfg.warm_delta,
+            iterations=cfg.window_m,
+            direction=direction,
+            seed=cfg.seed,
+        )
+        x0 = np.full(4, 0.3)
+        reg = run_optimizer(make_objective(spec), cfg, x0)
+        base = run_optimizer(make_objective(spec), warm, x0)
+        for attr in ("queries", "f_values", "grad_est_norms", "deltas", "solver_paths"):
+            np.testing.assert_array_equal(getattr(reg, attr)[: cfg.window_m], getattr(base, attr))
