@@ -6,6 +6,7 @@ arrays; there is no wrapper type and no configurable precision.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -112,7 +113,7 @@ class BlackBoxObjective:
             raise DimensionMismatchError(
                 f"expected vector of length {self.dimension}, got shape {x.shape}"
             )
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise EvaluationFailureError("non-finite entries in input point", x=x)
         return x
 
@@ -121,7 +122,7 @@ class BlackBoxObjective:
         x = self._check_input(x)
         self.query_count += 1
         value = float(self._fn(x))
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise EvaluationFailureError(f"objective returned {value}", x=x)
         return value
 
@@ -129,7 +130,7 @@ class BlackBoxObjective:
         """Uncounted evaluation, reserved for diagnostics."""
         x = self._check_input(x)
         value = float(self._fn(x))
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise EvaluationFailureError(f"objective returned {value}", x=x)
         return value
 

@@ -14,6 +14,7 @@ every call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -172,7 +173,7 @@ class _TraceBuilder:
 
 def adaptive_delta(eta: float, g_prev: np.ndarray, delta_min: float = 0.0) -> float:
     """Next smoothing radius: eta * |g_prev| floored at delta_min."""
-    return max(eta * float(np.linalg.norm(g_prev)), delta_min)
+    return max(eta * math.sqrt(g_prev @ g_prev), delta_min)
 
 
 def _diverge(builder, x, t, reason):
@@ -180,9 +181,11 @@ def _diverge(builder, x, t, reason):
     raise DivergenceError(f"run diverged at iteration {t}: {reason}", trace=trace)
 
 
-def _guarded_evaluate(obj, x, builder, t):
+def _guarded_evaluate(obj, xh, x, builder, t):
+    """f(xh); a failure diverges the run with the iterate ``x`` as its
+    final point, as an estimator-phase failure does."""
     try:
-        return obj.evaluate(x)
+        return obj.evaluate(xh)
     except EvaluationFailureError as exc:
         _diverge(builder, x, t, str(exc))
 
@@ -229,7 +232,7 @@ def run_optimizer(
         # ages out by the time the regression phase starts.
         u = sampler(rng, d)
         xh = x + delta_e * u
-        prev = _guarded_evaluate(obj, xh, builder, 0)
+        prev = _guarded_evaluate(obj, xh, x, builder, 0)
         if window is not None:
             window.push(xh, prev)
 
@@ -259,7 +262,7 @@ def run_optimizer(
             else:
                 delta_t = cfg.delta
             xh = x + delta_t * u
-            fv = _guarded_evaluate(obj, xh, builder, t)
+            fv = _guarded_evaluate(obj, xh, x, builder, t)
             window.push(xh, fv)
             if method == "q_reszo":
                 fit = fit_quadratic(window)
@@ -271,9 +274,7 @@ def run_optimizer(
             path = SOLVER_PATH_CODES[fit.solver_path]
             if diagnostics is not None:
                 diagnostics.observe(t, x, xh, estimate, window)
-        builder.add(
-            t, obj.query_count - q0, fv, float(np.linalg.norm(estimate)), delta_t, path
-        )
+        builder.add(t, obj.query_count - q0, fv, math.sqrt(estimate @ estimate), delta_t, path)
         if abs(fv) > DIVERGENCE_THRESHOLD:
             _diverge(builder, x, t, f"|f| exceeded {DIVERGENCE_THRESHOLD:g}")
         x = x - eta_t * estimate

@@ -23,12 +23,20 @@ so a fit only writes the O(d) border (its right-hand side and, for the
 intercept modes, the intercept row).  One Cholesky factorization of
 that bordered system both checks the Gram and solves it.  The factor
 lands in a second window-kept buffer in LAPACK's column-major layout,
-so the buffer holds its transpose in row-major order.  The quadratic
-design is likewise assembled in a buffer the window keeps.  A Gram
-that fails the factorization or whose relative pivots reveal numerical
-rank deficiency, and every other window, falls back to a minimum-norm
+so the buffer holds its transpose in row-major order.  A Gram that
+fails the factorization or whose relative pivots reveal numerical rank
+deficiency, and every other window, falls back to a minimum-norm
 pseudoinverse solve; rank deficiency never raises out of
 ``fit_linear``/``fit_quadratic``.
+
+The quadratic fit assembles its design, and its row-space solve writes
+X X^T, into buffers the window keeps.  At d of about 100 a fit costs
+little more than its LAPACK and BLAS calls, so the per-call wrappers
+count: both routes call numpy's LAPACK gufuncs (``cholesky_lo``,
+``solve1``, the kernels behind ``np.linalg.cholesky`` and
+``np.linalg.solve``, whose bits they give) directly, and take norms as
+``math.sqrt(v @ v)``, which is what ``np.linalg.norm`` computes on 1-D
+and C-contiguous inputs.
 """
 
 from __future__ import annotations
@@ -55,10 +63,14 @@ _SWAP_SINGULAR_TOL = 1e-12
 # updates added and cancelled outweigh the Gram's trace by this factor.
 _RECENTER_LIMIT = 100.0
 # Elements of the row-block scratch (256 KB) through which the moment
-# update and the cached residual pass, so neither allocates a d x d or
-# m x d temporary.
+# update, the cached residual and the quadratic design's half squares
+# pass, so none allocates a d x d or m x d temporary.
 _BLOCK_ELEMENTS = 32768
-# Diagonal block size of the blocked triangular solve.
+# Diagonal block size of the blocked triangular solve.  Each block is an
+# LU solve of O(block^3), so 32-row blocks are faster (37 against 44 us
+# at n = 101, 463 against 572 us at n = 901, one BLAS thread), but they
+# round differently: one zero-perturbation l_reszo trial of the grid
+# test then stops diverging.  64 keeps every output bit.
 _SUBSTITUTION_BLOCK = 64
 # A relative pivot L_ii^2 / G_ii is the squared sine of the angle between
 # column i and the columns before it.  Below this the Gram is numerically
@@ -71,6 +83,10 @@ _RELATIVE_PIVOT_TOL = 3e-10
 # failed factorization fills the output with NaN and sets numpy's invalid
 # flag instead of raising.
 _cholesky_lo = _umath_linalg.cholesky_lo
+# numpy's LU solve gufunc for one right-hand side, the one
+# np.linalg.solve wraps.  A singular matrix fills the output with NaN and
+# sets numpy's invalid flag instead of raising LinAlgError.
+_solve1 = _umath_linalg.solve1
 
 
 @dataclass
@@ -115,7 +131,7 @@ class _MomentCache:
         self.s_vec = s_vec
         self.p_vec = p_vec
         self.f_sum = f_sum
-        self.mass = float(np.trace(m_mat))
+        self.mass = float(m_mat.trace())
         self.updates = 0
 
 
@@ -131,13 +147,16 @@ class EvaluationWindow:
     floating-point drift.
 
     The window also keeps its fits' buffers, so neither a push nor a fit
-    allocates a d x d or m x d temporary: the (d+2)x(d+2) bordered normal
-    matrix, whose top-left d x d block holds the second moments; the
-    linear fit's (k+1)x(k+1) Cholesky factor, which LAPACK writes
-    column-major so the buffer holds the upper factor L^T row-major; a
-    row-block scratch; and the quadratic fit's (m, 2d+1) design.  Each is
-    allocated on first use and reused while its shape stays the same; no
-    fit returns a view of them.
+    allocates a d x d, m x d or m x m temporary: the (d+2)x(d+2)
+    bordered normal matrix, whose top-left d x d block holds the second
+    moments; the linear fit's (k+1)x(k+1) Cholesky factor, which LAPACK
+    writes column-major so the buffer holds the upper factor L^T
+    row-major; a row-block scratch (one block whenever m * (d + 2) fits
+    it); and the quadratic fit's (m, 2d+1) design, the contiguous (m, d)
+    differences it is copied from, and its (m, m) row-space Gram X X^T.
+    Each is allocated on first use and reused while its shape stays the
+    same; no fit returns a view of them.  The LU solve's own copy of
+    X X^T is allocated inside numpy's gufunc.
     """
 
     def __init__(self, capacity: int, dim: int):
@@ -157,6 +176,8 @@ class EvaluationWindow:
         self._upper: Optional[np.ndarray] = None
         self._scratch: Optional[np.ndarray] = None
         self._design: Optional[np.ndarray] = None
+        self._deltas: Optional[np.ndarray] = None
+        self._gram: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return self._count
@@ -283,7 +304,7 @@ class EvaluationWindow:
         if not self.is_full:
             return None
         mom = self._mom
-        if mom is not None and mom.mass > _RECENTER_LIMIT * float(np.trace(mom.m_mat)):
+        if mom is not None and mom.mass > _RECENTER_LIMIT * float(mom.m_mat.trace()):
             mom = self._mom = None
         if mom is None:
             d = self.dim
@@ -349,14 +370,24 @@ def _quadratic_design(window: EvaluationWindow):
     x_mat = window._design
     if x_mat is None or x_mat.shape[0] != m:
         x_mat = window._design = np.empty((m, 2 * d + 1))
-    deltas, half_squares = x_mat[:, :d], x_mat[:, d : 2 * d]
+    deltas = window._deltas
+    if deltas is None or deltas.shape[0] != m:
+        deltas = window._deltas = np.empty((m, d))
     # Oldest row first: the ring buffer from its start, then its wrapped head.
     start = window._start
     newest = window.newest_point()
     np.subtract(window._pts[start:m], newest, out=deltas[: m - start])
     np.subtract(window._pts[:start], newest, out=deltas[m - start :])
-    np.multiply(deltas, 0.5, out=half_squares)
-    half_squares *= deltas
+    # The arithmetic runs on contiguous arrays, and only copies write the
+    # design's column blocks: a ufunc on those strided views loops row by
+    # row, and one that reads and writes blocks of the same buffer copies
+    # its input first.
+    x_mat[:, :d] = deltas
+    half_squares = x_mat[:, d : 2 * d]
+    for start, stop, block in window._row_blocks(m, d):
+        np.multiply(deltas[start:stop], 0.5, out=block)
+        block *= deltas[start:stop]
+        half_squares[start:stop] = block
     x_mat[:, 2 * d] = 1.0
     vals = window.values()
     return x_mat, vals - vals[-1]
@@ -372,37 +403,46 @@ def assemble_quadratic_system(window: EvaluationWindow):
 # -- solvers ---------------------------------------------------------------
 
 
-def solve_least_squares(x_mat: np.ndarray, y_vec: np.ndarray):
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite.  A finite sum of squares
+    settles it with one BLAS dot and no boolean temporary; only one that
+    overflows or is NaN is checked entry by entry."""
+    flat = a.reshape(-1)
+    return math.isfinite(flat @ flat) or bool(np.isfinite(flat).all())
+
+
+def solve_least_squares(
+    x_mat: np.ndarray, y_vec: np.ndarray, gram_out: Optional[np.ndarray] = None
+):
     """Minimum-norm least-squares solve; returns (coeffs, residual_norm).
 
     Underdetermined systems with full row rank are solved through the
     row space (X^T (X X^T)^-1 y), which is the min-norm solution at a
     fraction of the SVD cost; anything questionable falls back to
-    numpy's lstsq.
+    numpy's lstsq.  ``gram_out``, an (m, m) float64 C-contiguous array,
+    receives X X^T in place of a new array; it changes no result.
     """
     x_mat = np.asarray(x_mat, dtype=np.float64)
     y_vec = np.asarray(y_vec, dtype=np.float64)
     if x_mat.ndim != 2 or y_vec.shape != (x_mat.shape[0],):
         raise ValueError("shape mismatch between design matrix and targets")
-    if not (np.all(np.isfinite(x_mat)) and np.all(np.isfinite(y_vec))):
+    if not (_all_finite(x_mat) and _all_finite(y_vec)):
         raise ValueError("non-finite entries in least-squares system")
     rows, cols = x_mat.shape
     if rows < cols:
-        w_mat = x_mat @ x_mat.T
-        try:
-            dual = np.linalg.solve(w_mat, y_vec)
-        except np.linalg.LinAlgError:
-            dual = None
-        if dual is not None and np.all(np.isfinite(dual)):
+        w_mat = np.matmul(x_mat, x_mat.T, out=gram_out)
+        # A singular X X^T leaves NaN in the dual, which falls through.
+        with np.errstate(invalid="ignore"):
+            dual = _solve1(w_mat, y_vec)
+        if np.isfinite(dual).all():
             coeffs = x_mat.T @ dual
             resid = x_mat @ coeffs - y_vec
-            resid_norm = float(np.linalg.norm(resid))
-            gate = _SOLVE_RTOL * float(np.linalg.norm(y_vec)) + (
-                _SOLVE_BACKWARD_TOL
-                * float(np.linalg.norm(w_mat))
-                * float(np.linalg.norm(dual))
+            resid_norm = math.sqrt(resid @ resid)
+            w_flat = w_mat.reshape(-1)
+            gate = _SOLVE_RTOL * math.sqrt(y_vec @ y_vec) + (
+                _SOLVE_BACKWARD_TOL * math.sqrt(w_flat @ w_flat) * math.sqrt(dual @ dual)
             )
-            if np.isfinite(coeffs @ coeffs) and resid_norm <= gate:
+            if math.isfinite(coeffs @ coeffs) and resid_norm <= gate:
                 return coeffs, resid_norm
     coeffs, _, _, _ = np.linalg.lstsq(x_mat, y_vec, rcond=None)
     resid_norm = float(np.linalg.norm(x_mat @ coeffs - y_vec))
@@ -475,10 +515,12 @@ def _back_substitute(upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``upper @ x = rhs`` for upper-triangular ``upper`` in O(n^2).
 
     numpy has no triangular solve, so the system is cut into diagonal
-    blocks of ``_SUBSTITUTION_BLOCK`` solved bottom-up: one GEMV folds
-    the solved tail into each block's right-hand side, and
-    ``np.linalg.solve`` finishes the small triangular block (its
-    partial pivoting never swaps rows of a nonsingular triangle).
+    blocks of ``_SUBSTITUTION_BLOCK`` rows solved bottom-up: one
+    GEMV folds the solved tail into each block's right-hand side, and
+    the ``solve1`` gufunc, called directly, finishes the small
+    triangular block in place (its partial pivoting never swaps rows of
+    a nonsingular triangle).  A zero on the diagonal gives NaN, with
+    numpy's invalid warning, where ``np.linalg.solve`` would raise.
     """
     n = rhs.shape[0]
     x = np.empty(n)
@@ -486,7 +528,7 @@ def _back_substitute(upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     for start in range((n - 1) // block * block, -1, -block):
         stop = min(start + block, n)
         part = rhs[start:stop] - upper[start:stop, stop:] @ x[stop:]
-        x[start:stop] = np.linalg.solve(upper[start:stop, start:stop], part)
+        _solve1(upper[start:stop, start:stop], part, out=x[start:stop])
     return x
 
 
@@ -527,13 +569,14 @@ def _fit_linear_cached_moments(window: EvaluationWindow, mode: str):
     # Column-major L is row-major L^T: the substitution reads row blocks.
     with np.errstate(invalid="ignore"):
         _cholesky_lo(system, out=upper.T)
-    if np.isnan(upper[k, k]):
+    if math.isnan(upper[k, k]):
         return None  # not positive definite
-    pivots = np.diagonal(upper)[:k] ** 2 / np.diagonal(system)[:k]
+    pivots = upper.diagonal()[:k] ** 2
+    pivots /= system.diagonal()[:k]
     if pivots.min() < _RELATIVE_PIVOT_TOL:
         return None
     sol = _back_substitute(upper[:k, :k], upper[:k, k])
-    if not np.all(np.isfinite(sol)):
+    if not np.isfinite(sol).all():
         return None
     if mode == "difference_no_intercept":
         g, c, c_delta = sol, None, 0.0
@@ -551,8 +594,7 @@ def _fit_linear_cached_moments(window: EvaluationWindow, mode: str):
         np.matmul(block, g, out=resid[start:stop])
     resid += c_delta
     resid -= offsets
-    resid_norm = float(np.linalg.norm(resid))
-    return SurrogateFit(g, None, c, resid_norm, "cached_moments")
+    return SurrogateFit(g, None, c, math.sqrt(resid @ resid), "cached_moments")
 
 
 def fit_linear(window: EvaluationWindow, mode: str = "intercept_centered") -> SurrogateFit:
@@ -588,7 +630,12 @@ def fit_quadratic(window: EvaluationWindow) -> SurrogateFit:
     _require_samples(window)
     d = window.dim
     x_mat, y_vec = _quadratic_design(window)
-    coeffs, resid_norm = solve_least_squares(x_mat, y_vec)
+    m, gram = x_mat.shape[0], None
+    if m < 2 * d + 1:  # underdetermined: the row-space route needs X X^T
+        gram = window._gram
+        if gram is None or gram.shape[0] != m:
+            gram = window._gram = np.empty((m, m))
+    coeffs, resid_norm = solve_least_squares(x_mat, y_vec, gram)
     return SurrogateFit(
         coeffs[:d].copy(),
         coeffs[d : 2 * d].copy(),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -18,7 +20,7 @@ def sample_unit_sphere(rng: np.random.Generator, d: int) -> np.ndarray:
         raise ValueError("dimension must be >= 1")
     while True:
         u = rng.standard_normal(d)
-        norm = np.linalg.norm(u)
+        norm = math.sqrt(u @ u)  # np.linalg.norm's value, without its wrapper
         # A zero draw has probability zero; guard anyway.
         if norm > 0:
             return u / norm

@@ -258,6 +258,48 @@ class TestDivergence:
         assert len(err.value.trace) == 6
 
 
+def failing_from_call(n_fail, d=4):
+    """A ridge objective whose evaluations return NaN from call n_fail on."""
+    ridge = make_objective(BenchmarkSpec("ridge", d=d, n_samples=16, seed=9))
+    calls = {"n": 0}
+
+    def value(x):
+        calls["n"] += 1
+        return float("nan") if calls["n"] >= n_fail else ridge.oracle_evaluate(x)
+
+    return BlackBoxObjective(d, value)
+
+
+@pytest.mark.parametrize("method", ["l_reszo", "q_reszo"])
+def test_fit_phase_failure_records_the_iterate(method):
+    # Seed evaluation, then 6 warm iterations: call 10 is iteration 8's
+    # query, in the fit phase.  The diverged trace ends where the same run
+    # stopped after 8 iterations does, not at the perturbed point.
+    cfg = reszo_cfg(method=method, window_m=6, iterations=30, eta=1e-5)
+    x0 = np.full(4, 0.3)
+    with pytest.raises(DivergenceError) as err:
+        run_optimizer(failing_from_call(10), cfg, x0)
+    trace = err.value.trace
+    assert trace.diverged and trace.divergence_iteration == 8 and len(trace) == 8
+    stopped_cfg = reszo_cfg(method=method, window_m=6, iterations=8, eta=1e-5)
+    stopped = run_optimizer(failing_from_call(10**9), stopped_cfg, x0)
+    np.testing.assert_array_equal(trace.final_x, stopped.final_x)
+
+
+@pytest.mark.parametrize("method", ["rszo", "l_reszo", "q_reszo"])
+def test_seed_evaluation_failure_records_x0(method):
+    if method == "rszo":
+        cfg = OptimizerConfig(method="rszo", eta=1e-5, delta=0.05, iterations=10)
+    else:
+        cfg = reszo_cfg(method=method, window_m=6, iterations=30)
+    x0 = np.full(4, 0.3)
+    with pytest.raises(DivergenceError) as err:
+        run_optimizer(failing_from_call(1), cfg, x0)
+    trace = err.value.trace
+    assert trace.diverged and trace.divergence_iteration == 0 and len(trace) == 0
+    np.testing.assert_array_equal(trace.final_x, x0)
+
+
 def test_gaussian_direction_mode_runs_and_differs():
     spec = BenchmarkSpec("ridge", d=4, n_samples=16, seed=9)
     base = dict(method="l_reszo", eta=1e-5, delta=0.05, iterations=15,

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from unittest import mock
 
@@ -119,23 +120,32 @@ class TestAssembly:
 
     def test_quadratic_design_matches_plain_formula(self):
         # The design is written into the window's buffer in ring order;
-        # partial, wrapped and unwrapped windows all give the plain
-        # formula's matrix bit for bit, and callers get their own copy.
+        # partial windows and a full window at every offset of its ring
+        # start give the plain formula's matrix bit for bit, with the
+        # half squares in one row block or in blocks of three rows, and
+        # callers get their own copy.  Scales down to 1e-160 put half
+        # squares in the subnormal range, where 0.5 * dx * dx and
+        # 0.5 * (dx * dx) can differ.
         d, m = 5, 7
-        rng = make_rng(36)
-        win = EvaluationWindow(m, d)
-        for i in range(2 * m + 3):
-            p = rng.standard_normal(d)
-            win.push(p, float(np.sin(p).sum()))
-            if len(win) < 2:
-                continue
-            pts, vals = win.points(), win.values()
-            deltas = pts - pts[-1]
-            ref = np.hstack([deltas, 0.5 * deltas * deltas, np.ones((len(pts), 1))])
-            x_mat, y_vec = assemble_quadratic_system(win)
-            assert np.array_equal(x_mat.view(np.uint64), ref.view(np.uint64)), i
-            np.testing.assert_array_equal(y_vec, vals - vals[-1])
-            assert not np.shares_memory(x_mat, win._design)
+        for block_elements in (regression._BLOCK_ELEMENTS, 3 * d):
+            rng = make_rng(36)
+            offsets = set()
+            with mock.patch.object(regression, "_BLOCK_ELEMENTS", block_elements):
+                win = EvaluationWindow(m, d)
+                for i in range(2 * m + 3):
+                    p = rng.standard_normal(d) * 10.0 ** rng.integers(-160, 3)
+                    win.push(p, float(np.sin(p).sum()))
+                    if len(win) < 2:
+                        continue
+                    offsets.add(win._start)
+                    pts, vals = win.points(), win.values()
+                    deltas = pts - pts[-1]
+                    ref = np.hstack([deltas, 0.5 * deltas * deltas, np.ones((len(pts), 1))])
+                    x_mat, y_vec = assemble_quadratic_system(win)
+                    assert np.array_equal(x_mat.view(np.uint64), ref.view(np.uint64)), i
+                    np.testing.assert_array_equal(y_vec, vals - vals[-1])
+                    assert not np.shares_memory(x_mat, win._design)
+            assert offsets == set(range(m))
 
     def test_quadratic_recovers_parabola(self):
         xs = np.array([-1.0, 0.5, 1.5, 2.0])
@@ -393,9 +403,10 @@ def test_cached_route_matches_lstsq_on_adversarial_windows():
     assert quad_underdetermined == {True, False}
 
 
-@pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 902])
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 63, 64, 65, 101, 129, 901, 902])
 def test_back_substitute_matches_solve(n):
-    # Sizes on both sides of each 64-row block boundary.
+    # Sizes on both sides of the 64-row block boundaries, blocks of one to
+    # 33 rows, and the bordered sizes of the d=100 and d=900 fits.
     rng = make_rng(80 + n)
     upper = np.triu(rng.standard_normal((n, n))) / np.sqrt(n)
     upper[np.diag_indices(n)] = 1.0 + rng.random(n)
@@ -403,6 +414,19 @@ def test_back_substitute_matches_solve(n):
     ref = np.linalg.solve(upper, rhs)
     x = _back_substitute(upper, rhs)
     assert np.max(np.abs(x - ref)) <= 1e-10 * (1.0 + np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (101,), (1000,), (3, 4), (110, 110), (33, 201)])
+def test_dot_norm_matches_numpy_norm_bitwise(shape):
+    # The fits, sampler and driver take norms as math.sqrt(v @ v), over
+    # the flattened array for a matrix; np.linalg.norm computes the same
+    # sqrt(x.dot(x)) on 1-D and C-contiguous inputs.
+    rng = make_rng(45)
+    for scale in (1e-200, 1e-3, 1.0, 1e150):
+        v = rng.standard_normal(shape) * scale
+        flat = v.reshape(-1)
+        ours = math.sqrt(flat @ flat)
+        assert np.float64(ours).view(np.uint64) == np.float64(np.linalg.norm(v)).view(np.uint64)
 
 
 def full_window(d, m, seed):
@@ -417,9 +441,9 @@ def full_window(d, m, seed):
 def test_cached_fit_factorizes_once(monkeypatch):
     # One Cholesky factorization per fit, through the module's gufunc and
     # never through np.linalg.cholesky, and only diagonal blocks of the
-    # triangular solve ever reach np.linalg.solve.
+    # triangular solve ever reach the module's solve1 gufunc.
     win = full_window(130, 140, 81)
-    cholesky_lo, solve = regression._cholesky_lo, np.linalg.solve
+    cholesky_lo, solve1 = regression._cholesky_lo, regression._solve1
     factored, solved = [], []
 
     def counting_cholesky_lo(a, out):
@@ -429,20 +453,20 @@ def test_cached_fit_factorizes_once(monkeypatch):
     def refused_cholesky(a):
         raise AssertionError("np.linalg.cholesky called on the cached route")
 
-    def sized_solve(a, b):
+    def sized_solve1(a, b, out=None):
         solved.append(a.shape[0])
-        return solve(a, b)
+        return solve1(a, b, out=out)
 
     monkeypatch.setattr(regression, "_cholesky_lo", counting_cholesky_lo)
+    monkeypatch.setattr(regression, "_solve1", sized_solve1)
     monkeypatch.setattr(np.linalg, "cholesky", refused_cholesky)
-    monkeypatch.setattr(np.linalg, "solve", sized_solve)
     for mode in ("intercept_centered", "intercept_raw", "difference_no_intercept"):
         factored.clear()
         solved.clear()
         fit = fit_linear(win, mode)
         assert fit.solver_path == "cached_moments"
         assert len(factored) == 1, mode
-        assert solved and max(solved) <= 64, mode
+        assert solved and max(solved) <= regression._SUBSTITUTION_BLOCK, mode
 
 
 @pytest.mark.filterwarnings("error")
@@ -561,6 +585,60 @@ def test_steady_push_and_fit_allocate_no_square_temporaries(mode):
         tracemalloc.stop()
     assert fit.solver_path == "cached_moments"
     assert peak < d * d * 8 / 4, peak
+
+
+def test_steady_fits_skip_numpy_linalg_wrappers(monkeypatch):
+    # A steady cached linear fit and a healthy quadratic fit call the
+    # LAPACK gufuncs directly and take norms as sqrt(v @ v); the quadratic
+    # fit's coefficients keep the bits of np.linalg.solve on X X^T.
+    d, m = 100, 110
+    rng = make_rng(88)
+    win = full_window(d, m, 88)
+    for mode in REGRESSION_MODES:
+        fit_linear(win, mode)
+    p = rng.standard_normal(d)
+    win.push(p, float(np.sin(p).sum()))
+    x_mat, y_vec = assemble_quadratic_system(win)
+    ref = x_mat.T @ np.linalg.solve(x_mat @ x_mat.T, y_vec)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("numpy.linalg wrapper called on a steady fit")
+
+    monkeypatch.setattr(np.linalg, "solve", refused)
+    monkeypatch.setattr(np.linalg, "norm", refused)
+    for mode in REGRESSION_MODES:
+        assert fit_linear(win, mode).solver_path == "cached_moments"
+    quad = fit_quadratic(win)
+    coeffs = np.concatenate([quad.g, quad.h, [quad.c]])
+    assert np.array_equal(coeffs.view(np.uint64), ref.view(np.uint64))
+
+
+def test_steady_push_and_quadratic_fit_allocate_no_m_by_m_temporaries():
+    # The quadratic fit's design, its contiguous differences and its row-
+    # space Gram X X^T live in the window: once they exist, a push and a
+    # fit at d=100, m=110 allocate less than one m x m array.  The largest
+    # allocation left is numpy's 8192-element (64 KB) iterator buffer for
+    # the broadcast subtraction of the newest point.  The LU solve's own
+    # copy of X X^T is malloc'd inside numpy's gufunc, which tracemalloc
+    # does not see.
+    d, m = 100, 110
+    rng = make_rng(89)
+    win = full_window(d, m, 89)
+    for _ in range(2):
+        p = rng.standard_normal(d)
+        win.push(p, float(np.sin(p).sum()))
+        fit_quadratic(win)
+    p = rng.standard_normal(d)
+    value = float(np.sin(p).sum())
+    tracemalloc.start()
+    try:
+        win.push(p, value)
+        fit = fit_quadratic(win)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fit.residual_norm <= 1e-6 * np.linalg.norm(win.values())
+    assert peak < m * m * 8, peak
 
 
 _FAR = 1e4

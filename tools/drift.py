@@ -1,0 +1,278 @@
+#!/usr/bin/env python3
+"""Output drift between two versions of reszo, on a fixed matrix of small runs.
+
+    PYTHONPATH=src python tools/drift.py --out drift_new.json
+    PYTHONPATH=<other checkout>/src python tools/drift.py --out drift_old.json
+    PYTHONPATH=src python tools/drift.py --out drift_new.json --against drift_old.json
+
+Every case is one seeded ``run_optimizer`` call on ridge d=20, ridge
+d=100 or the neural net d=132: all five methods, both direction
+distributions, every regression mode and adaptive delta on and off for
+the regression methods, each observed by a diagnostics collector, plus
+runs that diverge.  The JSON records, per case and per ``RunTrace`` array, its
+sha256 and its raw bytes.  With ``--against``, each array of the new run
+is reported as byte-identical, or with its largest relative drift and
+the first iteration (or coordinate, for ``final_x``) that differs.
+
+The report measures drift; it is not a test and fails on nothing.  The
+BLAS thread count is pinned to 1 unless set, so the numbers do not
+depend on it.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import argparse  # noqa: E402
+import base64  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+import reszo  # noqa: E402
+from reszo import (  # noqa: E402
+    BenchmarkSpec,
+    DiagnosticsCollector,
+    DivergenceError,
+    OptimizerConfig,
+    initial_point,
+    make_objective,
+    make_rng,
+    run_optimizer,
+)
+
+ARRAYS = (
+    "iterations",
+    "queries",
+    "f_values",
+    "grad_est_norms",
+    "deltas",
+    "solver_paths",
+    "final_x",
+    "xi_norms",
+    "cd_ratios",
+)
+
+# (eta, delta) per problem and method, for sphere directions; Gaussian
+# directions, whose squared length averages d, take eta / d (warm_eta
+# too), so neither distribution diverges.  ridge20 reaches the cached
+# linear route in one substitution block, ridge100 has the shapes of the
+# ridge100_mix benchmark workload (several blocks), and the neural net
+# uses the shipped m=6 window, where every fit is a row-space solve.
+PROBLEMS = {
+    "ridge20": dict(
+        spec=BenchmarkSpec("ridge", d=20, n_samples=200, seed=3),
+        iterations=150,
+        window=dict(window_m=30, warm_eta=1e-6, warm_delta=0.1),
+        steps={
+            "szo": (1e-8, 0.01),
+            "rszo": (1e-6, 0.1),
+            "tzo": (1e-4, 0.01),
+            "l_reszo": (1e-4, 0.01),
+            "q_reszo": (1e-4, 0.01),
+        },
+    ),
+    "ridge100": dict(
+        spec=BenchmarkSpec("ridge", d=100, n_samples=1000, lam=0.1, seed=0),
+        iterations=200,
+        window=dict(window_m=110, warm_eta=2e-6, warm_delta=0.2),
+        steps={
+            "szo": (1e-9, 0.2),
+            "rszo": (2e-6, 0.2),
+            "tzo": (1.1e-5, 0.002),
+            "l_reszo": (6e-6, 0.002),
+            "q_reszo": (1.6e-5, 0.002),
+        },
+    ),
+    "nn132": dict(
+        spec=BenchmarkSpec("neural_net", d=132, n_samples=500, seed=0),
+        iterations=40,
+        window=dict(window_m=6, warm_eta=1e-9, warm_delta=0.05),
+        steps={
+            "szo": (1e-10, 0.05),
+            "rszo": (1e-9, 0.05),
+            "tzo": (1e-5, 0.001),
+            "l_reszo": (1e-3, 0.001),
+            "q_reszo": (1e-3, 0.001),
+        },
+    ),
+}
+DIRECTIONS = ("sphere", "gaussian")
+MODES = ("intercept_centered", "intercept_raw", "difference_no_intercept")
+# A step size far past stability, so the run diverges.
+DIVERGING_ETA = 1e3
+
+
+def cases():
+    """(name, problem, OptimizerConfig, diagnosed) for the fixed matrix."""
+    for pname, prob in PROBLEMS.items():
+        d = prob["spec"].d
+        for method in reszo.optimizers.METHODS:
+            regression = method in ("l_reszo", "q_reszo")
+            modes = MODES if method == "l_reszo" else (MODES[0],)
+            adaptive = (False, True) if regression else (False,)
+            eta, delta = prob["steps"][method]
+            for direction in DIRECTIONS:
+                scale = d if direction == "gaussian" else 1
+                for mode in modes:
+                    for adapt in adaptive:
+                        kw = dict(
+                            method=method,
+                            eta=eta / scale,
+                            delta=delta,
+                            iterations=prob["iterations"],
+                            direction=direction,
+                            regression_mode=mode,
+                            adaptive_delta=adapt,
+                            seed=7,
+                        )
+                        if regression:
+                            kw.update(prob["window"], warm_eta=prob["window"]["warm_eta"] / scale)
+                        name = f"{pname}/{method}/{direction}"
+                        if method == "l_reszo":
+                            name += f"/{mode}"
+                        if adapt:
+                            name += "/adaptive"
+                        yield name, pname, OptimizerConfig(**kw), regression
+        for method in ("rszo", "l_reszo", "q_reszo"):
+            kw = dict(
+                method=method,
+                eta=DIVERGING_ETA,
+                delta=prob["steps"][method][1],
+                iterations=prob["iterations"],
+                seed=7,
+            )
+            if method != "rszo":
+                kw.update(prob["window"])
+            yield f"{pname}/{method}/diverging", pname, OptimizerConfig(**kw), method != "rszo"
+
+
+def run_case(pname, cfg, diagnosed):
+    spec = PROBLEMS[pname]["spec"]
+    obj = make_objective(spec)
+    collector = None
+    if diagnosed:
+        collector = DiagnosticsCollector(obj, track_cd=cfg.method == "l_reszo")
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            x0 = initial_point(spec, make_rng(cfg.seed, stream=1))
+            return run_optimizer(obj, cfg, x0, diagnostics=collector)
+        except DivergenceError as exc:
+            return exc.trace
+
+
+def encode(arr):
+    arr = np.ascontiguousarray(arr)
+    raw = arr.tobytes()
+    return {
+        "sha256": hashlib.sha256(raw).hexdigest(),
+        "dtype": arr.dtype.str,
+        "data": base64.b64encode(raw).decode("ascii"),
+    }
+
+
+def decode(entry):
+    return np.frombuffer(base64.b64decode(entry["data"]), dtype=np.dtype(entry["dtype"]))
+
+
+def collect():
+    out = {}
+    for name, pname, cfg, diagnosed in cases():
+        trace = run_case(pname, cfg, diagnosed)
+        arrays = {
+            key: encode(getattr(trace, key))
+            for key in ARRAYS
+            if getattr(trace, key) is not None
+        }
+        out[name] = {
+            "diverged": bool(trace.diverged),
+            "divergence_iteration": trace.divergence_iteration,
+            "arrays": arrays,
+        }
+    return out
+
+
+def drift(new, old):
+    """(max relative drift, first differing index) of two equal-length arrays.
+
+    Entries that match bit for bit, NaN included, do not count.  A
+    relative drift is |new - old| / |old|, or |new - old| where old is 0;
+    a NaN or infinity that appears or vanishes counts as infinite.
+    """
+    differs = new.view(np.uint8).reshape(len(new), -1) != old.view(np.uint8).reshape(len(old), -1)
+    idx = np.flatnonzero(differs.any(axis=1))
+    if not idx.size:
+        return 0.0, None
+    a, b = new[idx].astype(np.float64), old[idx].astype(np.float64)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        gap = np.abs(a - b)
+        scale = np.where(b == 0, 1.0, np.abs(b))
+        rel = gap / scale
+    rel[~np.isfinite(rel)] = np.inf
+    return float(rel.max()), int(idx[0])
+
+
+def compare(new_cases, old_cases):
+    """Print one line per case that moved and a summary; return the counts."""
+    identical = moved = 0
+    for name, case in new_cases.items():
+        old = old_cases.get(name)
+        if old is None:
+            print(f"{name}: not in the reference")
+            continue
+        notes = []
+        was, now = old["divergence_iteration"], case["divergence_iteration"]
+        if was != now:
+            notes.append(f"divergence_iteration {was} -> {now}")
+        for key in ARRAYS:
+            a, b = case["arrays"].get(key), old["arrays"].get(key)
+            if a is None and b is None:
+                continue
+            if a is None or b is None or a["dtype"] != b["dtype"]:
+                notes.append(f"{key} present in one run only or of another dtype")
+                moved += 1
+                continue
+            if a["sha256"] == b["sha256"]:
+                identical += 1
+                continue
+            moved += 1
+            na, nb = decode(a), decode(b)
+            if na.shape != nb.shape:
+                notes.append(f"{key} length {nb.size} -> {na.size}")
+                continue
+            rel, first = drift(na, nb)
+            where = "index" if key == "final_x" else "iteration"
+            notes.append(f"{key} max rel drift {rel:.3g}, first at {where} {first}")
+        if notes:
+            print(f"{name}: " + "; ".join(notes))
+    total = identical + moved
+    print(f"{identical} of {total} arrays byte-identical across {len(new_cases)} cases")
+    return identical, moved
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, required=True, help="JSON to write")
+    parser.add_argument("--against", type=Path, help="an earlier JSON to compare with")
+    args = parser.parse_args(argv)
+    result = {
+        "reszo": str(Path(reszo.__file__).resolve().parent),
+        "numpy": np.__version__,
+        "cases": collect(),
+    }
+    args.out.write_text(json.dumps(result, indent=1, sort_keys=True))
+    print(f"{len(result['cases'])} cases from {result['reszo']} written to {args.out}")
+    if args.against is not None:
+        old = json.loads(args.against.read_text())
+        compare(result["cases"], old["cases"])
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
