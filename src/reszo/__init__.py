@@ -33,27 +33,19 @@ from .optimizers import (
     OptimizerConfig,
     RunTrace,
     adaptive_delta,
-    run_baseline,
-    run_l_reszo,
     run_optimizer,
-    run_q_reszo,
 )
 from .benchmarks import (
     BenchmarkSpec,
     initial_point,
     load_dataset,
-    make_logistic,
-    make_neural_net,
     make_objective,
-    make_ridge,
-    make_rosenbrock,
     objective_from_dataset,
     save_dataset,
 )
 from .diagnostics import (
     DiagnosticsCollector,
     DiagnosticsRecord,
-    attach_diagnostics,
     cd_ratio,
     cd_statistics,
     finite_difference_gradient,

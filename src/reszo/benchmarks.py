@@ -127,9 +127,7 @@ def _ridge_objective(h_mat, y_vec, lam, constants):
     )
 
 
-def make_ridge(spec: BenchmarkSpec) -> BlackBoxObjective:
-    if spec.problem != "ridge":
-        raise ValueError("spec.problem must be 'ridge'")
+def _make_ridge(spec: BenchmarkSpec) -> BlackBoxObjective:
     h_mat, y_vec = _ridge_data(spec.d, spec.n_samples, spec.seed)
     constants = _ridge_constants_cached(spec.d, spec.n_samples, spec.lam, spec.seed)
     return _ridge_objective(h_mat, y_vec, spec.lam, constants)
@@ -202,9 +200,7 @@ def _logistic_fstar_cached(d, n, lam, seed):
     return _logistic_fstar(s_mat, labels, lam, _logistic_smoothness_cached(d, n, lam, seed))
 
 
-def make_logistic(spec: BenchmarkSpec) -> BlackBoxObjective:
-    if spec.problem != "logistic":
-        raise ValueError("spec.problem must be 'logistic'")
+def _make_logistic(spec: BenchmarkSpec) -> BlackBoxObjective:
     key = (spec.d, spec.n_samples, spec.lam, spec.seed)
     s_mat, labels = _logistic_data(spec.d, spec.n_samples, spec.seed)
     return _logistic_objective(
@@ -234,10 +230,8 @@ def _rosenbrock_grad(x):
     return grad
 
 
-def make_rosenbrock(spec: BenchmarkSpec) -> BlackBoxObjective:
+def _make_rosenbrock(spec: BenchmarkSpec) -> BlackBoxObjective:
     """Chained quartic benchmark; gradient exact, no global smoothness."""
-    if spec.problem != "rosenbrock":
-        raise ValueError("spec.problem must be 'rosenbrock'")
     return BlackBoxObjective(
         spec.d,
         _rosenbrock_value,
@@ -306,10 +300,8 @@ def _nn_objective(d, inputs, targets):
     return BlackBoxObjective(d, value, optimum_value=0.0, name="neural_net")
 
 
-def make_neural_net(spec: BenchmarkSpec) -> BlackBoxObjective:
+def _make_neural_net(spec: BenchmarkSpec) -> BlackBoxObjective:
     """Teacher-student squared-error loss; treated as a pure black box."""
-    if spec.problem != "neural_net":
-        raise ValueError("spec.problem must be 'neural_net'")
     _, inputs, targets = _nn_data(spec.d, spec.n_samples, spec.seed)
     return _nn_objective(spec.d, inputs, targets)
 
@@ -318,15 +310,15 @@ def make_neural_net(spec: BenchmarkSpec) -> BlackBoxObjective:
 
 
 _MAKERS = {
-    "ridge": make_ridge,
-    "logistic": make_logistic,
-    "rosenbrock": make_rosenbrock,
-    "neural_net": make_neural_net,
+    "ridge": _make_ridge,
+    "logistic": _make_logistic,
+    "rosenbrock": _make_rosenbrock,
+    "neural_net": _make_neural_net,
 }
 
 
 def make_objective(spec: BenchmarkSpec) -> BlackBoxObjective:
-    """Fresh objective (own query counter) over the cached dataset."""
+    """Fresh objective (own query counter) over spec.problem's cached dataset."""
     return _MAKERS[spec.problem](spec)
 
 
@@ -405,5 +397,5 @@ def objective_from_dataset(spec: BenchmarkSpec, arrays) -> BlackBoxObjective:
         fstar = lambda: _logistic_fstar(s_mat, labels, spec.lam, smoothness)
         return _logistic_objective(s_mat, labels, spec.lam, smoothness, fstar)
     if spec.problem == "rosenbrock":
-        return make_rosenbrock(spec)
+        return _make_rosenbrock(spec)
     return _nn_objective(spec.d, arrays["inputs"], arrays["targets"])

@@ -13,7 +13,7 @@ from typing import List, Optional
 import numpy as np
 
 from .core import BlackBoxObjective
-from .optimizers import REGRESSION_METHODS, OptimizerConfig, RunTrace, run_optimizer
+from .optimizers import RunTrace
 
 
 @dataclass
@@ -83,24 +83,23 @@ def cd_ratio(
 
 
 class DiagnosticsCollector:
-    """Observer threaded through a regression-method run.
+    """Observer that ``run_optimizer`` threads through a regression-method run.
 
     Computes the true gradient analytically when available and by
-    central differences on the oracle channel otherwise.  ``track_cd``
-    should be set only for linear-surrogate runs on objectives with a
-    known smoothness constant.
+    central differences on the oracle channel otherwise.  The cd ratio
+    is computed when the driver hands ``observe`` the window's oldest
+    perturbed point (l_reszo runs) and the objective has a known
+    smoothness constant.
     """
 
-    def __init__(self, obj: BlackBoxObjective, track_cd: bool = True, fd_step=None):
+    def __init__(self, obj: BlackBoxObjective):
         self._obj = obj
-        self._fd_step = fd_step
-        self.track_cd = track_cd and obj.smoothness_L is not None
         self.records: List[DiagnosticsRecord] = []
 
     def _gradient(self, x):
         if self._obj.analytic_gradient is not None:
             return self._obj.gradient(x)
-        return finite_difference_gradient(self._obj, x, self._fd_step)
+        return finite_difference_gradient(self._obj, x)
 
     def observe_warm(self, t, x_t, estimate, warm_eta, eta):
         """Do nothing; warm-phase iterations are not observed.
@@ -109,20 +108,15 @@ class DiagnosticsCollector:
         such as span tracers, still resolve it.
         """
 
-    def observe(self, t, x_t, xhat_t, estimate, window):
+    def observe(self, t, x_t, xhat_t, estimate, xhat_oldest):
         grad_x = self._gradient(x_t)
         xi_norm = float(np.linalg.norm(estimate - grad_x))
         grad_norm = float(np.linalg.norm(grad_x))
         ratio = None
-        if self.track_cd:
+        smoothness = self._obj.smoothness_L
+        if xhat_oldest is not None and smoothness is not None:
             grad_xhat = self._gradient(xhat_t)
-            ratio = cd_ratio(
-                estimate,
-                grad_xhat,
-                self._obj.smoothness_L,
-                xhat_t,
-                window.oldest_point(),
-            )
+            ratio = cd_ratio(estimate, grad_xhat, smoothness, xhat_t, xhat_oldest)
         self.records.append(DiagnosticsRecord(t, xi_norm, grad_norm, ratio))
 
     def attach_to_trace(self, trace: RunTrace):
@@ -138,26 +132,6 @@ class DiagnosticsCollector:
                 cd[idx] = np.nan if rec.cd_ratio is None else rec.cd_ratio
         trace.xi_norms = xi
         trace.cd_ratios = cd
-
-
-def attach_diagnostics(
-    obj: BlackBoxObjective,
-    cfg: OptimizerConfig,
-    x0: np.ndarray,
-    fd_step=None,
-):
-    """Run a regression method with per-iteration diagnostics.
-
-    Returns (trace, records).  The black-box query count is untouched
-    by the instrumentation; gradients flow through the oracle channel.
-    """
-    if cfg.method not in REGRESSION_METHODS:
-        raise ValueError("diagnostics require a regression method (l_reszo or q_reszo)")
-    collector = DiagnosticsCollector(
-        obj, track_cd=(cfg.method == "l_reszo"), fd_step=fd_step
-    )
-    trace = run_optimizer(obj, cfg, x0, diagnostics=collector)
-    return trace, collector.records
 
 
 def cd_statistics(values) -> dict:

@@ -84,7 +84,7 @@ def _run_single_trial(exp: ExperimentConfig, obj: BlackBoxObjective, k: int) -> 
     cfg = replace(exp.optimizer, seed=seed)
     collector = None
     if exp.record_diagnostics and cfg.method in REGRESSION_METHODS:
-        collector = DiagnosticsCollector(obj, track_cd=(cfg.method == "l_reszo"))
+        collector = DiagnosticsCollector(obj)
     reason = None
     try:
         trace = run_optimizer(obj, cfg, x0, diagnostics=collector)

@@ -5,11 +5,10 @@
 iterations (the warm start that fills the evaluation window), then
 switch to surrogate-regression gradient estimates, querying the
 objective exactly once per iteration throughout (plus the single seed
-evaluation that primes the residual feedback).  ``run_baseline``,
-``run_l_reszo`` and ``run_q_reszo`` are the driver behind a check of
-``cfg.method``.  The driver looks its estimators, fits and sampler up
-by module-level name at call time, so patching those names reroutes
-every call.
+evaluation that primes the residual feedback).  ``run_optimizer`` is
+the only entry point: it dispatches on ``cfg.method``.  The driver
+looks its estimators, fits and sampler up by module-level name at call
+time, so patching those names reroutes every call.
 """
 
 from __future__ import annotations
@@ -202,9 +201,12 @@ def run_optimizer(
     baselines, the first ``window_m`` (the rszo warm start, at
     ``warm_eta``/``warm_delta``) for the regression methods, which then
     take surrogate-fit steps.  Residual-feedback methods spend one
-    seed evaluation before iteration 0.  Raises DivergenceError, with
-    the partial trace (and its diagnostics columns, when observed)
-    attached, on a failed evaluation or a runaway value.
+    seed evaluation before iteration 0.  ``diagnostics`` observes each
+    surrogate-fit step, with the window's oldest perturbed point for
+    l_reszo (its cd ratio) and None for q_reszo.  Raises
+    DivergenceError, with the partial trace (and its diagnostics
+    columns, when observed) attached, on a failed evaluation or a
+    runaway value.
     """
     method = cfg.method
     regression = method in REGRESSION_METHODS
@@ -266,6 +268,7 @@ def run_optimizer(
             window.push(xh, fv)
             if method == "q_reszo":
                 fit = fit_quadratic(window)
+                # The surrogate's gradient at the iterate x, not at xh.
                 estimate = fit.g - delta_t * fit.h * u
             else:
                 fit = fit_linear(window, cfg.regression_mode)
@@ -273,51 +276,11 @@ def run_optimizer(
             eta_t = cfg.eta
             path = SOLVER_PATH_CODES[fit.solver_path]
             if diagnostics is not None:
-                diagnostics.observe(t, x, xh, estimate, window)
+                oldest = window.oldest_point() if method == "l_reszo" else None
+                diagnostics.observe(t, x, xh, estimate, oldest)
         builder.add(t, obj.query_count - q0, fv, math.sqrt(estimate @ estimate), delta_t, path)
         if abs(fv) > DIVERGENCE_THRESHOLD:
             _diverge(builder, x, t, f"|f| exceeded {DIVERGENCE_THRESHOLD:g}")
         x = x - eta_t * estimate
         g_prev = estimate
     return builder.finalize(x)
-
-
-def run_baseline(
-    obj: BlackBoxObjective,
-    cfg: OptimizerConfig,
-    x0: np.ndarray,
-    diagnostics=None,
-) -> RunTrace:
-    """run_optimizer for one of the classic estimators (szo, rszo, tzo)."""
-    if cfg.method in REGRESSION_METHODS:
-        raise ValueError(f"run_baseline cannot run method {cfg.method!r}")
-    return run_optimizer(obj, cfg, x0, diagnostics)
-
-
-def run_l_reszo(
-    obj: BlackBoxObjective,
-    cfg: OptimizerConfig,
-    x0: np.ndarray,
-    diagnostics=None,
-) -> RunTrace:
-    """run_optimizer for the linear surrogate-regression method."""
-    if cfg.method != "l_reszo":
-        raise ValueError(f"run_l_reszo cannot run method {cfg.method!r}")
-    return run_optimizer(obj, cfg, x0, diagnostics)
-
-
-def run_q_reszo(
-    obj: BlackBoxObjective,
-    cfg: OptimizerConfig,
-    x0: np.ndarray,
-    diagnostics=None,
-) -> RunTrace:
-    """run_optimizer for the quadratic surrogate-regression method.
-
-    Identical protocol to the linear variant, but fits a diagonal
-    quadratic and evaluates the surrogate gradient at the unperturbed
-    iterate, which contributes the -delta * h * u correction.
-    """
-    if cfg.method != "q_reszo":
-        raise ValueError(f"run_q_reszo cannot run method {cfg.method!r}")
-    return run_optimizer(obj, cfg, x0, diagnostics)

@@ -186,8 +186,8 @@ class EvaluationWindow:
     def is_full(self) -> bool:
         return self._count == self.capacity
 
-    def push(self, point: np.ndarray, value: float):
-        """Insert a pair; returns the dropped (point, value) or None."""
+    def push(self, point: np.ndarray, value: float) -> None:
+        """Insert a pair; on a full window it replaces the oldest one."""
         point = np.asarray(point, dtype=np.float64)
         if point.shape != (self.dim,):
             raise ValueError(f"expected point of shape ({self.dim},), got {point.shape}")
@@ -196,14 +196,13 @@ class EvaluationWindow:
             self._pts[self._count] = point
             self._vals[self._count] = value
             self._count += 1
-            return None
+            return
         idx = self._start
-        dropped = (self._pts[idx].copy(), float(self._vals[idx]))
-        self._update_caches(dropped[0], dropped[1], point, value)
+        # The caches read the dropped slot before it is overwritten.
+        self._update_caches(self._pts[idx], float(self._vals[idx]), point, value)
         self._pts[idx] = point
         self._vals[idx] = value
         self._start = (idx + 1) % self.capacity
-        return dropped
 
     # -- ordered access ------------------------------------------------
 

@@ -21,14 +21,15 @@ import pytest
 import reszo
 from reszo import (
     BenchmarkSpec,
+    DiagnosticsCollector,
     ExperimentConfig,
     OptimizerConfig,
-    attach_diagnostics,
     cd_statistics,
     make_objective,
     make_rng,
     rank1_swap_inverse,
     run_experiment,
+    run_optimizer,
     sample_unit_sphere,
 )
 from reszo.core import ExperimentFailedError
@@ -130,8 +131,10 @@ def test_criterion_03_exact_fit_on_affine_objectives():
         method="l_reszo", eta=1e-3, delta=0.01, iterations=d + 12,
         window_m=d + 2, warm_eta=1e-4, warm_delta=0.05, seed=9,
     )
-    trace, records = attach_diagnostics(mk(), cfg_l, np.zeros(d))
-    worst_xi = max(r.xi_norm for r in records)
+    obj = mk()
+    collector = DiagnosticsCollector(obj)
+    run_optimizer(obj, cfg_l, np.zeros(d), diagnostics=collector)
+    worst_xi = max(r.xi_norm for r in collector.records)
     # Quadratic variant on a window wide enough to pin the curvature.
     cfg_q = replace(cfg_l, method="q_reszo", window_m=2 * d + 3, iterations=2 * d + 13)
     from reszo.regression import EvaluationWindow, fit_quadratic
@@ -143,8 +146,10 @@ def test_criterion_03_exact_fit_on_affine_objectives():
         win.push(p, float(a @ p) + 0.7)
     fit = fit_quadratic(win)
     worst_h = float(np.max(np.abs(fit.h)))
-    trace_q, records_q = attach_diagnostics(mk(), cfg_q, np.zeros(d))
-    worst_xi_q = max(r.xi_norm for r in records_q)
+    obj_q = mk()
+    collector_q = DiagnosticsCollector(obj_q)
+    run_optimizer(obj_q, cfg_q, np.zeros(d), diagnostics=collector_q)
+    worst_xi_q = max(r.xi_norm for r in collector_q.records)
     elapsed = time.time() - t0
     ok = worst_xi <= 1e-8 and worst_xi_q <= 1e-8 and worst_h <= 1e-7 and elapsed < 5.0
     verdict(
@@ -339,8 +344,9 @@ def test_criterion_07_ratio_scaling_study():
             seed=7, eta=setup["eta"], warm_eta=setup["warm_eta"],
             iterations=setup["iterations"],
         )
-        _, records = attach_diagnostics(obj, cfg, reszo.initial_point(spec))
-        stats = cd_statistics([r.cd_ratio for r in records])
+        collector = DiagnosticsCollector(obj)
+        run_optimizer(obj, cfg, reszo.initial_point(spec), diagnostics=collector)
+        stats = cd_statistics([r.cd_ratio for r in collector.records])
         measured[d] = stats["max"]
     in_band = {
         d: reported_max[d] / 3.0 <= measured[d] <= reported_max[d] * 3.0
@@ -378,8 +384,9 @@ def _bias_fraction(eta, iterations=3000):
         method="l_reszo", eta=eta, delta=0.002, iterations=iterations, seed=11,
         adaptive_delta=True, **RIDGE_WARM,
     )
-    _, records = attach_diagnostics(obj, cfg, reszo.initial_point(RIDGE_100))
-    return float(np.mean([r.xi_norm <= r.grad_norm for r in records]))
+    collector = DiagnosticsCollector(obj)
+    run_optimizer(obj, cfg, reszo.initial_point(RIDGE_100), diagnostics=collector)
+    return float(np.mean([r.xi_norm <= r.grad_norm for r in collector.records]))
 
 
 @pytest.mark.xfail(

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from reszo import (
     DivergenceError,
     ExperimentConfig,
     OptimizerConfig,
-    attach_diagnostics,
     cd_ratio,
     cd_statistics,
     finite_difference_gradient,
@@ -96,10 +97,14 @@ def reszo_cfg(**kw):
 
 
 class TestAttachDiagnostics:
+    """A DiagnosticsCollector attached to a run_optimizer call."""
+
     def test_affine_bias_is_zero_post_warm(self):
         obj = affine_objective(4, smoothness=1.0)
         cfg = reszo_cfg(window_m=6, iterations=16)
-        trace, records = attach_diagnostics(obj, cfg, np.zeros(4))
+        collector = DiagnosticsCollector(obj)
+        trace = run_optimizer(obj, cfg, np.zeros(4), diagnostics=collector)
+        records = collector.records
         assert len(records) == cfg.iterations - cfg.window_m
         for rec in records:
             assert rec.xi_norm <= 1e-9
@@ -113,7 +118,9 @@ class TestAttachDiagnostics:
         plain_obj = make_objective(spec)
         plain = run_optimizer(plain_obj, cfg, np.zeros(4))
         diag_obj = make_objective(spec)
-        diagnosed, _ = attach_diagnostics(diag_obj, cfg, np.zeros(4))
+        diagnosed = run_optimizer(
+            diag_obj, cfg, np.zeros(4), diagnostics=DiagnosticsCollector(diag_obj)
+        )
         assert plain_obj.query_count == diag_obj.query_count
         for attr in ("queries", "f_values", "grad_est_norms", "deltas", "final_x"):
             np.testing.assert_array_equal(getattr(plain, attr), getattr(diagnosed, attr))
@@ -121,26 +128,35 @@ class TestAttachDiagnostics:
     def test_cd_present_for_linear_absent_for_quadratic(self):
         spec = BenchmarkSpec("ridge", d=4, n_samples=20, seed=6)
         cfg_l = reszo_cfg(window_m=6, iterations=18, eta=1e-5)
-        trace_l, recs_l = attach_diagnostics(make_objective(spec), cfg_l, np.zeros(4))
+        obj_l = make_objective(spec)
+        collector_l = DiagnosticsCollector(obj_l)
+        trace_l = run_optimizer(obj_l, cfg_l, np.zeros(4), diagnostics=collector_l)
+        recs_l = collector_l.records
         assert any(r.cd_ratio is not None for r in recs_l)
         assert np.any(np.isfinite(trace_l.cd_ratios))
         cfg_q = reszo_cfg(method="q_reszo", window_m=6, iterations=18, eta=1e-5)
-        trace_q, recs_q = attach_diagnostics(make_objective(spec), cfg_q, np.zeros(4))
+        obj_q = make_objective(spec)
+        collector_q = DiagnosticsCollector(obj_q)
+        trace_q = run_optimizer(obj_q, cfg_q, np.zeros(4), diagnostics=collector_q)
+        recs_q = collector_q.records
         assert all(r.cd_ratio is None for r in recs_q)
         assert not np.any(np.isfinite(trace_q.cd_ratios))
         assert np.any(np.isfinite(trace_q.xi_norms))
 
     def test_requires_regression_method(self):
         cfg = OptimizerConfig(method="szo", eta=1e-3, delta=0.1, iterations=5)
+        obj = affine_objective(2)
         with pytest.raises(ValueError):
-            attach_diagnostics(affine_objective(2), cfg, np.zeros(2))
+            run_optimizer(obj, cfg, np.zeros(2), diagnostics=DiagnosticsCollector(obj))
 
     def test_finite_difference_fallback_when_no_analytic_gradient(self):
         spec = BenchmarkSpec("neural_net", d=7, n_samples=10, seed=3)
         obj = make_objective(spec)
         cfg = reszo_cfg(window_m=4, iterations=8, eta=1e-4)
         x0 = make_rng(5, stream=1).uniform(-1, 1, 7)
-        trace, records = attach_diagnostics(obj, cfg, x0)
+        collector = DiagnosticsCollector(obj)
+        run_optimizer(obj, cfg, x0, diagnostics=collector)
+        records = collector.records
         assert obj.query_count == cfg.iterations + 1
         assert all(np.isfinite(r.xi_norm) for r in records)
         # No smoothness constant, so the ratio stays absent.
@@ -172,9 +188,37 @@ def test_diagnosed_run_gradient_calls(method, per_iteration):
 
     obj.gradient = counted
     cfg = reszo_cfg(method=method, window_m=6, iterations=18, eta=1e-5)
-    attach_diagnostics(obj, cfg, np.zeros(4))
+    run_optimizer(obj, cfg, np.zeros(4), diagnostics=DiagnosticsCollector(obj))
     assert len(calls) == per_iteration * (cfg.iterations - cfg.window_m)
     assert obj.query_count == cfg.iterations + 1
+
+
+@pytest.mark.parametrize(
+    "problem, method, expect_cd",
+    [
+        ("ridge", "l_reszo", True),
+        ("ridge", "q_reszo", False),
+        # rosenbrock has an analytic gradient but no smoothness constant.
+        ("rosenbrock", "l_reszo", False),
+    ],
+)
+def test_experiment_trial_matches_direct_diagnosed_run(problem, method, expect_cd):
+    # The driver alone decides whether a run tracks the cd ratio, so a
+    # diagnosed experiment trial and a direct run agree bit for bit.
+    spec = BenchmarkSpec(problem, d=4, n_samples=20, seed=6)
+    cfg = reszo_cfg(method=method, window_m=6, iterations=18, eta=1e-5)
+    exp = ExperimentConfig(spec, cfg, trials=2, base_seed=3, record_diagnostics=True)
+    results, _ = run_experiment(exp)
+    trial = results[1]
+    obj = make_objective(spec)
+    x0 = reszo.initial_point(spec, make_rng(trial.seed, stream=1))
+    direct = run_optimizer(
+        obj, replace(cfg, seed=trial.seed), x0, diagnostics=DiagnosticsCollector(obj)
+    )
+    for attr in ("xi_norms", "cd_ratios"):
+        assert getattr(trial.trace, attr).tobytes() == getattr(direct, attr).tobytes()
+    assert np.any(np.isfinite(direct.xi_norms))
+    assert np.any(np.isfinite(direct.cd_ratios)) == expect_cd
 
 
 def spiking_objective(d, spike_call):

@@ -11,10 +11,7 @@ from reszo import (
     OptimizerConfig,
     adaptive_delta,
     make_objective,
-    run_baseline,
-    run_l_reszo,
     run_optimizer,
-    run_q_reszo,
 )
 
 
@@ -72,7 +69,7 @@ class TestBaselines:
     def test_tzo_contracts_on_quadratic(self):
         cfg = OptimizerConfig(method="tzo", eta=0.1, delta=0.01, iterations=200, seed=3)
         obj = quadratic_norm(2)
-        trace = run_baseline(obj, cfg, np.array([1.0, 1.0]))
+        trace = run_optimizer(obj, cfg, np.array([1.0, 1.0]))
         final_f = obj.oracle_evaluate(trace.final_x)
         assert final_f <= 1e-6
 
@@ -80,20 +77,16 @@ class TestBaselines:
         c, d, delta, eta = 2.5, 4, 0.5, 1e-3
         cfg = OptimizerConfig(method="szo", eta=eta, delta=delta, iterations=25, seed=1)
         obj = BlackBoxObjective(d, lambda x: c)
-        trace = run_baseline(obj, cfg, np.zeros(d))
+        trace = run_optimizer(obj, cfg, np.zeros(d))
         np.testing.assert_allclose(trace.grad_est_norms, (d / delta) * c, rtol=1e-9)
 
     def test_rszo_constant_stays_put(self):
         cfg = OptimizerConfig(method="rszo", eta=1e-2, delta=0.3, iterations=40, seed=5)
         obj = BlackBoxObjective(3, lambda x: 7.0)
         x0 = np.array([0.4, -0.2, 1.0])
-        trace = run_baseline(obj, cfg, x0)
+        trace = run_optimizer(obj, cfg, x0)
         np.testing.assert_array_equal(trace.final_x, x0)
         np.testing.assert_array_equal(trace.grad_est_norms, np.zeros(40))
-
-    def test_wrong_method_rejected(self):
-        with pytest.raises(ValueError):
-            run_baseline(quadratic_norm(2), reszo_cfg(), np.zeros(2))
 
 
 class TestQueryAccounting:
@@ -110,7 +103,7 @@ class TestQueryAccounting:
     def test_baseline_counts(self, method, expected_total, per_record):
         obj = make_objective(BenchmarkSpec("ridge", d=3, n_samples=12, seed=2))
         cfg = OptimizerConfig(method=method, eta=1e-5, delta=0.1, iterations=7, seed=0)
-        trace = run_baseline(obj, cfg, np.zeros(3))
+        trace = run_optimizer(obj, cfg, np.zeros(3))
         assert obj.query_count == expected_total
         np.testing.assert_array_equal(trace.queries, [per_record(t) for t in range(7)])
 
@@ -152,13 +145,9 @@ class TestLReszo:
         a = rng.standard_normal(d)
         obj = BlackBoxObjective(d, lambda x: float(a @ x) + 2.0)
         cfg = reszo_cfg(window_m=d + 2, iterations=d + 8, eta=1e-3, seed=11)
-        trace = run_l_reszo(obj, cfg, np.zeros(d))
+        trace = run_optimizer(obj, cfg, np.zeros(d))
         post = trace.grad_est_norms[cfg.window_m :]
         np.testing.assert_allclose(post, np.linalg.norm(a), rtol=1e-8)
-
-    def test_wrong_method_rejected(self):
-        with pytest.raises(ValueError):
-            run_l_reszo(quadratic_norm(2), reszo_cfg(method="q_reszo"), np.zeros(2))
 
 
 class TestQReszo:
@@ -170,10 +159,10 @@ class TestQReszo:
             method="q_reszo", window_m=4, iterations=10, eta=0.05, delta=0.05, seed=3
         )
         x0 = np.array([1.0])
-        trace = run_q_reszo(obj, cfg, x0)
+        trace = run_optimizer(obj, cfg, x0)
         # Replay the warm phase to recover x_m, then check the exact
         # geometric decay of the regression phase.
-        warm = run_q_reszo(
+        warm = run_optimizer(
             BlackBoxObjective(1, lambda x: float(x[0] ** 2)),
             reszo_cfg(
                 method="q_reszo",
@@ -195,10 +184,10 @@ class TestQReszo:
         a = rng.standard_normal(d)
         fn = lambda x: float(a @ x) - 1.0
         common = dict(window_m=2 * d + 3, iterations=2 * d + 12, eta=1e-3, seed=21)
-        tl = run_l_reszo(
+        tl = run_optimizer(
             BlackBoxObjective(d, fn), reszo_cfg(method="l_reszo", **common), np.zeros(d)
         )
-        tq = run_q_reszo(
+        tq = run_optimizer(
             BlackBoxObjective(d, fn), reszo_cfg(method="q_reszo", **common), np.zeros(d)
         )
         np.testing.assert_allclose(tq.final_x, tl.final_x, atol=1e-6)
@@ -216,7 +205,7 @@ class TestAdaptiveDelta:
         cfg = reszo_cfg(
             window_m=6, iterations=14, eta=1e-4, adaptive_delta=True, seed=2
         )
-        trace = run_l_reszo(obj, cfg, np.zeros(4))
+        trace = run_optimizer(obj, cfg, np.zeros(4))
         m = cfg.window_m
         # delta_t = eta * |g_{t-1}| for every post-warm iteration.
         expected = cfg.eta * trace.grad_est_norms[m - 1 : -1]
@@ -231,7 +220,7 @@ class TestDivergence:
         obj = BlackBoxObjective(2, lambda x: 1e13)
         cfg = OptimizerConfig(method="szo", eta=1e-3, delta=0.1, iterations=10, seed=0)
         with pytest.raises(DivergenceError) as err:
-            run_baseline(obj, cfg, np.zeros(2))
+            run_optimizer(obj, cfg, np.zeros(2))
         trace = err.value.trace
         assert trace.diverged and trace.divergence_iteration == 0
         assert len(trace) == 1
@@ -241,7 +230,7 @@ class TestDivergence:
         obj = BlackBoxObjective(1, lambda x: float(np.exp(x[0])))
         cfg = OptimizerConfig(method="szo", eta=1e6, delta=0.5, iterations=50, seed=1)
         with pytest.raises(DivergenceError) as err:
-            run_baseline(obj, cfg, np.array([800.0]))
+            run_optimizer(obj, cfg, np.array([800.0]))
         assert err.value.trace.diverged
 
     def test_partial_trace_preserved(self):
@@ -254,7 +243,7 @@ class TestDivergence:
         obj = BlackBoxObjective(2, spiky)
         cfg = OptimizerConfig(method="szo", eta=1e-3, delta=0.1, iterations=50, seed=2)
         with pytest.raises(DivergenceError) as err:
-            run_baseline(obj, cfg, np.zeros(2))
+            run_optimizer(obj, cfg, np.zeros(2))
         assert len(err.value.trace) == 6
 
 

@@ -61,13 +61,6 @@ class TestWindow:
         assert win.newest_value() == 4.0
         assert win.oldest_point()[0] == 2.0
 
-    def test_push_returns_dropped_pair(self):
-        win = EvaluationWindow(2, 1)
-        assert win.push(np.array([0.0]), 0.0) is None
-        assert win.push(np.array([1.0]), 1.0) is None
-        dropped = win.push(np.array([2.0]), 2.0)
-        assert dropped[0][0] == 0.0 and dropped[1] == 0.0
-
     def test_dimension_checked(self):
         win = EvaluationWindow(2, 2)
         with pytest.raises(ValueError):

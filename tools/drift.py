@@ -158,7 +158,7 @@ def run_case(pname, cfg, diagnosed):
     obj = make_objective(spec)
     collector = None
     if diagnosed:
-        collector = DiagnosticsCollector(obj, track_cd=cfg.method == "l_reszo")
+        collector = DiagnosticsCollector(obj)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             x0 = initial_point(spec, make_rng(cfg.seed, stream=1))
