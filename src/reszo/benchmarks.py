@@ -9,10 +9,17 @@ the smoothness constant L (the exact top eigenvalue of the Gram) and
 the optimum f*.  Once a dataset has been seen, building an objective
 over it only wraps the cached arrays and floats.
 
+Ridge keeps no data matrix: its cache entry is the Cholesky factor F
+of A = H^T H + lam*I (one d x d array), x* and f*, and every query is
+the exact-gap form f* + 0.5*|F^T (x - x*)|^2, one d x d GEMV instead of
+an N x d one.  H is regenerated from the spec when it is needed
+(``save_dataset``), and f* is still the residual form at x*.
+
 Problems:
 
 * ``ridge``      - 0.5*|y - Hx|^2 + 0.5*lam*|x|^2 with Gaussian H and
-                   y = 0.5*H*1 + noise; closed-form optimum.
+                   y = 0.5*H*1 + noise; closed-form optimum, queried in
+                   the factored form above.
 * ``logistic``   - 0.5*sum log(1+exp(-y_i s_i^T x)) + 0.5*lam*|x|^2 on
                    uniform data with linearly generated labels; optimum
                    found once by gradient descent to |grad| <= 1e-10.
@@ -77,8 +84,8 @@ def _freeze(*arrays):
 # -- ridge -----------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _ridge_data(d, n, seed):
+    # Not cached: objectives keep only the factor and optimum derived below.
     rng = make_rng(seed, stream=_DATASET_STREAM)
     h_mat = rng.standard_normal((n, d))
     noise = rng.standard_normal(n) * np.sqrt(0.1)
@@ -87,38 +94,52 @@ def _ridge_data(d, n, seed):
     return h_mat, y_vec
 
 
-def _ridge_functions(h_mat, y_vec, lam):
-    def value(x):
-        r = h_mat @ x - y_vec
-        return 0.5 * float(r @ r) + 0.5 * lam * float(x @ x)
-
-    def grad(x):
-        return h_mat.T @ (h_mat @ x - y_vec) + lam * x
-
-    return value, grad
+def _ridge_residual_value(h_mat, y_vec, lam, x):
+    r = h_mat @ x - y_vec
+    return 0.5 * float(r @ r) + 0.5 * lam * float(x @ x)
 
 
-def _ridge_constants(h_mat, y_vec, lam):
-    """(L, f*) of the ridge objective; f* is ``value`` at the closed form."""
+def _ridge_solution(h_mat, y_vec, lam):
+    """(L, A, x*, f*): A = H^T H + lam*I; f* is the residual form at x*."""
     gram = h_mat.T @ h_mat
     smoothness = float(np.linalg.eigvalsh(gram)[-1]) + lam
     # The Gram is not needed again: the ridge system is built in place.
     gram[np.diag_indices_from(gram)] += lam
     x_star = np.linalg.solve(gram, h_mat.T @ y_vec)
-    value, _ = _ridge_functions(h_mat, y_vec, lam)
-    return smoothness, value(x_star)
+    return smoothness, gram, x_star, _ridge_residual_value(h_mat, y_vec, lam, x_star)
+
+
+def _ridge_factored(smoothness, shifted_gram, x_star, fstar):
+    """(L, F, x*, f*) with A = F F^T, F the lower Cholesky factor."""
+    factor = np.linalg.cholesky(shifted_gram)
+    _freeze(factor, x_star)
+    return smoothness, factor, x_star, fstar
+
+
+def _ridge_constants(h_mat, y_vec, lam):
+    return _ridge_factored(*_ridge_solution(h_mat, y_vec, lam))
 
 
 @lru_cache(maxsize=None)
 def _ridge_constants_cached(d, n, lam, seed):
-    return _ridge_constants(*_ridge_data(d, n, seed), lam)
+    # H is released when _ridge_solution returns, before the factorization,
+    # so set-up never holds H, A and F at once.
+    return _ridge_factored(*_ridge_solution(*_ridge_data(d, n, seed), lam))
 
 
-def _ridge_objective(h_mat, y_vec, lam, constants):
-    smoothness, fstar = constants
-    value, grad = _ridge_functions(h_mat, y_vec, lam)
+def _ridge_objective(d, constants):
+    """f(x) = f* + 0.5*|F^T (x - x*)|^2: one d x d GEMV, gap >= 0 exactly."""
+    smoothness, factor, x_star, fstar = constants
+
+    def value(x):
+        v = (x - x_star) @ factor
+        return fstar + 0.5 * float(v @ v)
+
+    def grad(x):
+        return factor @ ((x - x_star) @ factor)
+
     return BlackBoxObjective(
-        h_mat.shape[1],
+        d,
         value,
         analytic_gradient=grad,
         smoothness_L=smoothness,
@@ -128,9 +149,8 @@ def _ridge_objective(h_mat, y_vec, lam, constants):
 
 
 def _make_ridge(spec: BenchmarkSpec) -> BlackBoxObjective:
-    h_mat, y_vec = _ridge_data(spec.d, spec.n_samples, spec.seed)
     constants = _ridge_constants_cached(spec.d, spec.n_samples, spec.lam, spec.seed)
-    return _ridge_objective(h_mat, y_vec, spec.lam, constants)
+    return _ridge_objective(spec.d, constants)
 
 
 # -- logistic --------------------------------------------------------------
@@ -389,8 +409,7 @@ def load_dataset(path):
 def objective_from_dataset(spec: BenchmarkSpec, arrays) -> BlackBoxObjective:
     """Build an objective over externally supplied arrays."""
     if spec.problem == "ridge":
-        h_mat, y_vec = arrays["H"], arrays["y"]
-        return _ridge_objective(h_mat, y_vec, spec.lam, _ridge_constants(h_mat, y_vec, spec.lam))
+        return _ridge_objective(spec.d, _ridge_constants(arrays["H"], arrays["y"], spec.lam))
     if spec.problem == "logistic":
         s_mat, labels = arrays["S"], arrays["labels"]
         smoothness = _logistic_smoothness(s_mat, spec.lam)

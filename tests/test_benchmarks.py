@@ -1,3 +1,4 @@
+import gc
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from reszo.benchmarks import (
     _ridge_constants,
     _ridge_constants_cached,
     _ridge_data,
-    _ridge_functions,
+    _ridge_residual_value,
     pack_parameters,
     sigmoid,
     unpack_parameters,
@@ -83,16 +84,46 @@ class TestRidge:
 
     @pytest.mark.parametrize("d, n", [(8, 60), (100, 1000)])
     def test_constants_match_shifted_gram_bitwise(self, d, n):
-        # L and f* from the Gram shifted in place equal, bit for bit, those
-        # from the explicit gram + lam * I.
+        # L, the factor, x* and f* from the Gram shifted in place equal, bit
+        # for bit, those from the explicit gram + lam * I.
         lam = 0.1
         h_mat, y_vec = _ridge_data(d, n, 5)
         gram = h_mat.T @ h_mat
-        x_star = np.linalg.solve(gram + lam * np.eye(d), h_mat.T @ y_vec)
-        value, _ = _ridge_functions(h_mat, y_vec, lam)
-        expected = np.array([np.linalg.eigvalsh(gram)[-1] + lam, value(x_star)])
-        got = np.array(_ridge_constants(h_mat, y_vec, lam))
+        shifted = gram + lam * np.eye(d)
+        x_star = np.linalg.solve(shifted, h_mat.T @ y_vec)
+        expected = np.array(
+            [np.linalg.eigvalsh(gram)[-1] + lam, _ridge_residual_value(h_mat, y_vec, lam, x_star)]
+        )
+        smoothness, factor, got_x_star, fstar = _ridge_constants(h_mat, y_vec, lam)
+        got = np.array([smoothness, fstar])
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(factor.view(np.uint64), np.linalg.cholesky(shifted).view(np.uint64))
+        assert np.array_equal(got_x_star.view(np.uint64), x_star.view(np.uint64))
+
+    @pytest.mark.parametrize("d, n", [(8, 60), (100, 1000)])
+    def test_exact_gap_form_matches_residual_form(self, d, n):
+        # From 1e-12 to 1e3 away from x*: the gap is never negative, and
+        # value and gradient agree with the residual form H x - y.  Near x*
+        # the residual form's own rounding (a few ulps of f, and of the
+        # terms of H^T(Hx - y)) dominates, so the bounds carry that floor.
+        spec = BenchmarkSpec("ridge", d=d, n_samples=n, seed=5)
+        obj = make_objective(spec)
+        h_mat, y_vec = _ridge_data(d, n, spec.seed)
+        fstar = obj.optimum_value
+        x_star = np.linalg.solve(h_mat.T @ h_mat + spec.lam * np.eye(d), h_mat.T @ y_vec)
+        rng = make_rng(21)
+        eps = np.finfo(float).eps
+        for dist in 10.0 ** np.arange(-12, 4):
+            u = rng.standard_normal(d)
+            x = x_star + dist * u / np.linalg.norm(u)
+            value = obj.evaluate(x)
+            assert value - fstar >= 0.0
+            ref = _ridge_residual_value(h_mat, y_vec, spec.lam, x)
+            assert abs((value - fstar) - (ref - fstar)) <= 1e-10 * abs(ref - fstar) + 16 * eps * ref
+            ref_grad = h_mat.T @ (h_mat @ x - y_vec) + spec.lam * x
+            terms = np.abs(h_mat).T @ (np.abs(h_mat) @ np.abs(x) + np.abs(y_vec))
+            scale = np.linalg.norm(terms) + spec.lam * np.linalg.norm(x)
+            assert np.linalg.norm(obj.gradient(x) - ref_grad) <= 1e-12 * scale
 
     def test_initial_point_is_origin_with_positive_gap(self):
         obj = make_objective(self.spec)
@@ -243,14 +274,19 @@ class TestDeterminismAndSharing:
             h_mat[0, 0] = 1.0
 
     def test_derived_constants_are_built_once_per_dataset(self, monkeypatch):
-        eigvalsh = np.linalg.eigvalsh
-        solves = []
+        eigvalsh, cholesky = np.linalg.eigvalsh, np.linalg.cholesky
+        solves, factorizations = [], []
 
         def counting_eigvalsh(a):
             solves.append(a.shape)
             return eigvalsh(a)
 
+        def counting_cholesky(a):
+            factorizations.append(a.shape)
+            return cholesky(a)
+
         monkeypatch.setattr(reszo.benchmarks.np.linalg, "eigvalsh", counting_eigvalsh)
+        monkeypatch.setattr(reszo.benchmarks.np.linalg, "cholesky", counting_cholesky)
         _ridge_constants_cached.cache_clear()
         spec = BenchmarkSpec("ridge", d=4, n_samples=20, seed=17)
         exp = ExperimentConfig(
@@ -269,10 +305,42 @@ class TestDeterminismAndSharing:
         objs = [make_objective(spec) for _ in range(3)]
         run_experiment(exp)
         run_experiment(exp)
-        assert solves == [(4, 4)]
+        assert solves == factorizations == [(4, 4)]
         assert len({(o.smoothness_L, o.optimum_value) for o in objs}) == 1
         make_objective(replace(spec, lam=0.2))
-        assert solves == [(4, 4), (4, 4)]
+        assert solves == factorizations == [(4, 4), (4, 4)]
+
+    def test_ridge_keeps_no_data_matrix(self):
+        # Neither an objective nor its cache entry holds an array with N
+        # rows; the cache entry is one d x d factor plus d-vectors.
+        spec = BenchmarkSpec("ridge", d=20, n_samples=5000, seed=9)
+        obj = make_objective(spec)
+        entry = _ridge_constants_cached(spec.d, spec.n_samples, spec.lam, spec.seed)
+        for root in (obj, entry):
+            shapes = sorted(a.shape for a in _reachable_arrays(root))
+            assert shapes == [(20,), (20, 20)]
+
+
+def _reachable_arrays(root):
+    """Every ndarray reachable from root, array bases included.
+
+    Functions are followed through their closures only, not their module
+    globals, so the walk stays on what an object itself keeps alive.
+    """
+    found, seen, stack = {}, set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found[id(obj)] = obj
+            stack.append(obj.base)
+        elif callable(obj) and hasattr(obj, "__closure__"):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+        else:
+            stack.extend(gc.get_referents(obj))
+    return list(found.values())
 
 
 class TestDumpLoad:
