@@ -21,16 +21,21 @@ one symmetric rank-3 update of the second moments, written in place
 into the top-left block of a bordered-system buffer the window keeps,
 so a fit only writes the O(d) border (its right-hand side and, for the
 intercept modes, the intercept row).  One Cholesky factorization of
-that bordered system both checks the Gram and solves it.  The factor
-lands in a second window-kept buffer in LAPACK's column-major layout,
-so the buffer holds its transpose in row-major order.  A Gram that
+that bordered system both checks the Gram and solves it.  The system
+buffer is column-major, so the factorization's copy of it into
+LAPACK's layout runs down contiguous columns, and the update writes
+contiguous column blocks.  The factor lands in a second window-kept
+buffer in LAPACK's column-major layout, so that buffer holds its
+transpose in row-major order.  A Gram that
 fails the factorization or whose relative pivots reveal numerical rank
 deficiency, and every other window, falls back to a minimum-norm
 pseudoinverse solve; rank deficiency never raises out of
 ``fit_linear``/``fit_quadratic``.
 
 The quadratic fit assembles its design, and its row-space solve writes
-X X^T, into buffers the window keeps.  At d of about 100 a fit costs
+X X^T, into buffers the window keeps.  A window it interpolates
+(m <= 2d + 1) has intercept exactly 0, so that design leaves out the
+newest row and the ones column.  At d of about 100 a fit costs
 little more than its LAPACK and BLAS calls, so the per-call wrappers
 count: both routes call numpy's LAPACK gufuncs (``cholesky_lo``,
 ``solve1``, the kernels behind ``np.linalg.cholesky`` and
@@ -148,12 +153,13 @@ class EvaluationWindow:
 
     The window also keeps its fits' buffers, so neither a push nor a fit
     allocates a d x d, m x d or m x m temporary: the (d+2)x(d+2)
-    bordered normal matrix, whose top-left d x d block holds the second
-    moments; the linear fit's (k+1)x(k+1) Cholesky factor, which LAPACK
-    writes column-major so the buffer holds the upper factor L^T
-    row-major; a row-block scratch (one block whenever m * (d + 2) fits
-    it); and the quadratic fit's (m, 2d+1) design, the contiguous (m, d)
-    differences it is copied from, and its (m, m) row-space Gram X X^T.
+    bordered normal matrix, column-major as LAPACK reads it, whose
+    top-left d x d block holds the second moments; the linear fit's
+    (k+1)x(k+1) Cholesky factor, which LAPACK writes column-major so the
+    buffer holds the upper factor L^T row-major; a row-block scratch (one
+    block whenever m * (d + 2) fits it); and the quadratic fit's design
+    ((m - 1, 2d) when m <= 2d + 1, else (m, 2d + 1)), the contiguous
+    (m, d) differences it is copied from, and its row-space Gram X X^T.
     Each is allocated on first use and reused while its shape stays the
     same; no fit returns a view of them.  The LU solve's own copy of
     X X^T is allocated inside numpy's gufunc.
@@ -266,13 +272,18 @@ class EvaluationWindow:
         # s' = s - dd + u:  M - dd dd^T + u u^T - u s'^T - s' u^T + m u u^T
         # = M + u w^T + w u^T - dd dd^T.
         w_vec = (0.5 * (m - 1)) * u_vec - mom.s_vec + dd
-        left = np.array((u_vec, w_vec, dd)).T
+        # The system is column-major: its transpose's full-width row blocks
+        # are its contiguous column blocks.  Row j of a block holds column j,
+        # entry i being w_j u_i + u_j w_i - dd_j dd_i: term for term the
+        # products, in the same order, of the row-major update
+        # u_i w_j + w_i u_j - dd_i dd_j.  The border rows get +0.0.
+        left = np.array((w_vec, u_vec, -dd)).T
         right = np.zeros((3, self.dim + 2))
-        right[:, : self.dim] = (w_vec, u_vec, -dd)
-        # Full-width row blocks are contiguous; the border gets +0.0.
+        right[:, : self.dim] = (u_vec, w_vec, dd)
+        columns = self._system.T
         for start, stop, block in self._row_blocks(self.dim, self.dim + 2):
             np.matmul(left[start:stop], right, out=block)
-            self._system[start:stop] += block
+            columns[start:stop] += block
         # The same drop, add and move for the first moments.
         mom.p_vec += (dd - mom.s_vec) * phi - dd * vd
         mom.p_vec += u_vec * (vd - mom.f_sum + (m - 1) * phi)
@@ -308,7 +319,9 @@ class EvaluationWindow:
         if mom is None:
             d = self.dim
             if self._system is None:
-                self._system = np.empty((d + 2, d + 2))
+                # Column-major, as LAPACK reads it: the factorization's
+                # copy-in then runs down contiguous columns.
+                self._system = np.empty((d + 2, d + 2), order="F")
             c_ref = self.newest_point().copy()
             f_ref = self.newest_value()
             deltas = self._pts - c_ref
@@ -363,12 +376,17 @@ def assemble_linear_system(window: EvaluationWindow, mode: str):
     return x_mat, y_vec
 
 
-def _quadratic_design(window: EvaluationWindow):
-    """The quadratic (X, y), X written into the window's design buffer."""
+def _quadratic_design(window: EvaluationWindow, reduced: bool = False):
+    """The quadratic (X, y), X written into the window's design buffer.
+
+    ``reduced`` leaves out the newest row, (0, ..., 0, 1) with target 0,
+    and the ones column: an (m - 1, 2d) design.
+    """
     m, d = len(window), window.dim
+    rows, cols = (m - 1, 2 * d) if reduced else (m, 2 * d + 1)
     x_mat = window._design
-    if x_mat is None or x_mat.shape[0] != m:
-        x_mat = window._design = np.empty((m, 2 * d + 1))
+    if x_mat is None or x_mat.shape != (rows, cols):
+        x_mat = window._design = np.empty((rows, cols))
     deltas = window._deltas
     if deltas is None or deltas.shape[0] != m:
         deltas = window._deltas = np.empty((m, d))
@@ -380,16 +398,18 @@ def _quadratic_design(window: EvaluationWindow):
     # The arithmetic runs on contiguous arrays, and only copies write the
     # design's column blocks: a ufunc on those strided views loops row by
     # row, and one that reads and writes blocks of the same buffer copies
-    # its input first.
-    x_mat[:, :d] = deltas
+    # its input first.  The newest point's own zero difference is the
+    # last row, which the reduced design leaves out.
+    x_mat[:, :d] = deltas[:rows]
     half_squares = x_mat[:, d : 2 * d]
-    for start, stop, block in window._row_blocks(m, d):
+    for start, stop, block in window._row_blocks(rows, d):
         np.multiply(deltas[start:stop], 0.5, out=block)
         block *= deltas[start:stop]
         half_squares[start:stop] = block
-    x_mat[:, 2 * d] = 1.0
+    if not reduced:
+        x_mat[:, 2 * d] = 1.0
     vals = window.values()
-    return x_mat, vals - vals[-1]
+    return x_mat, (vals - vals[-1])[:rows]
 
 
 def assemble_quadratic_system(window: EvaluationWindow):
@@ -625,20 +645,30 @@ def fit_linear(window: EvaluationWindow, mode: str = "intercept_centered") -> Su
 
 
 def fit_quadratic(window: EvaluationWindow) -> SurrogateFit:
-    """Fit the quadratic surrogate (diagonal curvature) on the window."""
+    """Fit the quadratic surrogate (diagonal curvature) on the window.
+
+    The centered design's newest row is (0, ..., 0, 1) with target 0, so
+    a window of m <= 2d + 1 points, which the surrogate interpolates, has
+    intercept exactly 0.  Its fit solves the reduced (m - 1, 2d) system
+    without that row and the ones column, whose minimum-norm solution is
+    the full system's: dropping them takes cond(X) from about 4e7 to
+    1e5 on m = 110, d = 100 ridge windows.  Larger windows are least-
+    squares fits on the full design.
+    """
     _require_samples(window)
     d = window.dim
-    x_mat, y_vec = _quadratic_design(window)
-    m, gram = x_mat.shape[0], None
-    if m < 2 * d + 1:  # underdetermined: the row-space route needs X X^T
+    interpolating = len(window) <= 2 * d + 1
+    x_mat, y_vec = _quadratic_design(window, reduced=interpolating)
+    rows, gram = x_mat.shape[0], None
+    if rows < x_mat.shape[1]:  # underdetermined: the row-space route needs X X^T
         gram = window._gram
-        if gram is None or gram.shape[0] != m:
-            gram = window._gram = np.empty((m, m))
+        if gram is None or gram.shape[0] != rows:
+            gram = window._gram = np.empty((rows, rows))
     coeffs, resid_norm = solve_least_squares(x_mat, y_vec, gram)
     return SurrogateFit(
         coeffs[:d].copy(),
         coeffs[d : 2 * d].copy(),
-        float(coeffs[2 * d]),
+        0.0 if interpolating else float(coeffs[2 * d]),
         resid_norm,
         "pseudoinverse",
     )

@@ -19,6 +19,7 @@ from reszo import (
     save_dataset,
 )
 from reszo.benchmarks import (
+    _RIDGE_PANEL,
     _layer_width,
     _logistic_data,
     _nn_data,
@@ -100,7 +101,7 @@ class TestRidge:
         assert np.array_equal(factor.view(np.uint64), np.linalg.cholesky(shifted).view(np.uint64))
         assert np.array_equal(got_x_star.view(np.uint64), x_star.view(np.uint64))
 
-    @pytest.mark.parametrize("d, n", [(8, 60), (100, 1000)])
+    @pytest.mark.parametrize("d, n", [(8, 60), (100, 1000), (300, 400)])
     def test_exact_gap_form_matches_residual_form(self, d, n):
         # From 1e-12 to 1e3 away from x*: the gap is never negative, and
         # value and gradient agree with the residual form H x - y.  Near x*
@@ -124,6 +125,22 @@ class TestRidge:
             terms = np.abs(h_mat).T @ (np.abs(h_mat) @ np.abs(x) + np.abs(y_vec))
             scale = np.linalg.norm(terms) + spec.lam * np.linalg.norm(x)
             assert np.linalg.norm(obj.gradient(x) - ref_grad) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("d", [8, 100, 128])
+    def test_one_panel_query_is_one_gemv_bitwise(self, d):
+        # Up to the panel width a query is the single GEMV on F: value
+        # f* + 0.5 * v @ v and gradient F @ v with v = (x - x*) @ F.
+        assert d <= _RIDGE_PANEL
+        spec = BenchmarkSpec("ridge", d=d, n_samples=200, seed=5)
+        obj = make_objective(spec)
+        _, factor, x_star, fstar = _ridge_constants_cached(d, spec.n_samples, spec.lam, spec.seed)
+        rng = make_rng(22)
+        for _ in range(5):
+            x = rng.standard_normal(d)
+            v = (x - x_star) @ factor
+            value = np.float64(fstar + 0.5 * float(v @ v))
+            assert np.float64(obj.evaluate(x)).view(np.uint64) == value.view(np.uint64)
+            assert np.array_equal(obj.gradient(x).view(np.uint64), (factor @ v).view(np.uint64))
 
     def test_initial_point_is_origin_with_positive_gap(self):
         obj = make_objective(self.spec)

@@ -440,6 +440,10 @@ def test_cached_fit_factorizes_once(monkeypatch):
     factored, solved = [], []
 
     def counting_cholesky_lo(a, out):
+        # The bordered system is column-major, so LAPACK's copy-in reads
+        # contiguous columns: the whole buffer with an intercept, its
+        # leading (d+1)-square block in difference mode.
+        assert a.strides[0] == a.itemsize, a.strides
         factored.append(a.shape)
         return cholesky_lo(a, out=out)
 
@@ -458,6 +462,7 @@ def test_cached_fit_factorizes_once(monkeypatch):
         solved.clear()
         fit = fit_linear(win, mode)
         assert fit.solver_path == "cached_moments"
+        assert win._system.flags.f_contiguous
         assert len(factored) == 1, mode
         assert solved and max(solved) <= regression._SUBSTITUTION_BLOCK, mode
 
@@ -583,7 +588,9 @@ def test_steady_push_and_fit_allocate_no_square_temporaries(mode):
 def test_steady_fits_skip_numpy_linalg_wrappers(monkeypatch):
     # A steady cached linear fit and a healthy quadratic fit call the
     # LAPACK gufuncs directly and take norms as sqrt(v @ v); the quadratic
-    # fit's coefficients keep the bits of np.linalg.solve on X X^T.
+    # fit's coefficients keep the bits of np.linalg.solve on X X^T of the
+    # reduced design (no newest row, no ones column), and its intercept
+    # is exactly 0.
     d, m = 100, 110
     rng = make_rng(88)
     win = full_window(d, m, 88)
@@ -592,7 +599,8 @@ def test_steady_fits_skip_numpy_linalg_wrappers(monkeypatch):
     p = rng.standard_normal(d)
     win.push(p, float(np.sin(p).sum()))
     x_mat, y_vec = assemble_quadratic_system(win)
-    ref = x_mat.T @ np.linalg.solve(x_mat @ x_mat.T, y_vec)
+    x_red, y_red = np.ascontiguousarray(x_mat[:-1, :-1]), y_vec[:-1]
+    ref = np.append(x_red.T @ np.linalg.solve(x_red @ x_red.T, y_red), 0.0)
 
     def refused(*args, **kwargs):
         raise AssertionError("numpy.linalg wrapper called on a steady fit")
@@ -604,6 +612,40 @@ def test_steady_fits_skip_numpy_linalg_wrappers(monkeypatch):
     quad = fit_quadratic(win)
     coeffs = np.concatenate([quad.g, quad.h, [quad.c]])
     assert np.array_equal(coeffs.view(np.uint64), ref.view(np.uint64))
+
+
+def test_quadratic_fit_matches_lstsq_on_recorded_ridge_window():
+    # A window of m = 110 points at d = 100, recorded at the 1000th fit of
+    # a q_reszo run at the desk-scale comparison's settings: cond(X) of its
+    # full design is about 4e7, and a row-space solve of X X^T with the
+    # newest row and the ones column loses about 2e-2 of g.  The reduced
+    # system keeps g within 1e-6 of lstsq.
+    import reszo
+    import reszo.optimizers as opt
+
+    spec = reszo.BenchmarkSpec("ridge", d=100, n_samples=1000, lam=0.1, seed=0)
+    cfg = reszo.OptimizerConfig(
+        method="q_reszo", eta=1.6e-5, delta=0.002, iterations=1110, seed=1000,
+        window_m=110, warm_eta=2.5e-6, warm_delta=0.2,
+    )
+    captured = []
+    orig = opt.fit_quadratic
+
+    def capture(window):
+        captured[:] = [(window.points(), window.values())]
+        return orig(window)
+
+    with mock.patch.object(opt, "fit_quadratic", capture):
+        reszo.run_optimizer(reszo.make_objective(spec), cfg, reszo.initial_point(spec))
+    win = window_from(*captured[-1], dim=spec.d)
+    fit = fit_quadratic(win)
+    x_mat, y_vec = assemble_quadratic_system(win)
+    ref = np.linalg.lstsq(x_mat, y_vec, rcond=None)[0]
+    assert np.linalg.cond(x_mat) > 1e7
+    assert fit.c == 0.0
+    assert np.linalg.norm(fit.g - ref[: spec.d]) <= 1e-6 * np.linalg.norm(ref[: spec.d])
+    ref_h = ref[spec.d : 2 * spec.d]
+    assert np.linalg.norm(fit.h - ref_h) <= 1e-6 * np.linalg.norm(ref_h)
 
 
 def test_steady_push_and_quadratic_fit_allocate_no_m_by_m_temporaries():

@@ -9,10 +9,12 @@ Every case is one seeded ``run_optimizer`` call on ridge d=20, ridge
 d=100 or the neural net d=132: all five methods, both direction
 distributions, every regression mode and adaptive delta on and off for
 the regression methods, each observed by a diagnostics collector, plus
-runs that diverge.  The JSON records, per case and per ``RunTrace`` array, its
-sha256 and its raw bytes.  With ``--against``, each array of the new run
-is reported as byte-identical, or with its largest relative drift and
-the first iteration (or coordinate, for ``final_x``) that differs.
+runs that diverge.  Ridge d=300 adds short l_reszo and q_reszo runs,
+whose ridge queries span several column panels.  The JSON records, per
+case and per ``RunTrace`` array, its sha256 and its raw bytes.  With
+``--against``, each array of the new run is reported as byte-identical,
+or with its largest relative drift and the first iteration (or
+coordinate, for ``final_x``) that differs.
 
 The report measures drift; it is not a test and fails on nothing.  The
 BLAS thread count is pinned to 1 unless set, so the numbers do not
@@ -65,6 +67,8 @@ ARRAYS = (
 # linear route in one substitution block, ridge100 has the shapes of the
 # ridge100_mix benchmark workload (several blocks), and the neural net
 # uses the shipped m=6 window, where every fit is a row-space solve.
+# ridge300 runs only the regression methods, for 40 fits past the warm
+# phase: its queries and gradients sum over three column panels of F.
 PROBLEMS = {
     "ridge20": dict(
         spec=BenchmarkSpec("ridge", d=20, n_samples=200, seed=3),
@@ -102,6 +106,15 @@ PROBLEMS = {
             "q_reszo": (1e-3, 0.001),
         },
     ),
+    "ridge300": dict(
+        spec=BenchmarkSpec("ridge", d=300, n_samples=1000, lam=0.1, seed=0),
+        iterations=350,
+        window=dict(window_m=310, warm_eta=6e-7, warm_delta=0.2),
+        steps={
+            "l_reszo": (2e-6, 0.002),
+            "q_reszo": (4e-6, 0.002),
+        },
+    ),
 }
 DIRECTIONS = ("sphere", "gaussian")
 MODES = ("intercept_centered", "intercept_raw", "difference_no_intercept")
@@ -113,7 +126,7 @@ def cases():
     """(name, problem, OptimizerConfig, diagnosed) for the fixed matrix."""
     for pname, prob in PROBLEMS.items():
         d = prob["spec"].d
-        for method in reszo.optimizers.METHODS:
+        for method in prob["steps"]:
             regression = method in ("l_reszo", "q_reszo")
             modes = MODES if method == "l_reszo" else (MODES[0],)
             adaptive = (False, True) if regression else (False,)
@@ -141,6 +154,8 @@ def cases():
                             name += "/adaptive"
                         yield name, pname, OptimizerConfig(**kw), regression
         for method in ("rszo", "l_reszo", "q_reszo"):
+            if method not in prob["steps"]:
+                continue
             kw = dict(
                 method=method,
                 eta=DIVERGING_ETA,
