@@ -79,9 +79,11 @@ class OptimizerConfig:
         if self.delta < 0:
             raise ValueError("delta must be non-negative")
         if self.regression_mode not in REGRESSION_MODES:
-            raise ValueError(f"unknown regression mode {self.regression_mode!r}")
-        if self.direction not in ("sphere", "gaussian"):
-            raise ValueError(f"unknown direction distribution {self.direction!r}")
+            raise ValueError(
+                f"unknown regression mode {self.regression_mode!r}; "
+                f"expected one of {REGRESSION_MODES}"
+            )
+        get_sampler(self.direction)  # raises on a name the sampler table lacks
         if self.delta_min is not None and self.delta_min < 0:
             raise ValueError("delta_min must be non-negative")
         if self.method in REGRESSION_METHODS:

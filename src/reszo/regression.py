@@ -1,16 +1,19 @@
 """Sliding-window surrogate fitting.
 
 A window of the latest m perturbed points and their values feeds
-linear or quadratic least-squares fits.  Three linear formulations are
-supported:
+linear or quadratic least-squares fits.  Every design is centered at
+the newest point: its rows are the older points minus the newest,
+oldest first, followed for a quadratic fit by their half squares.  Two
+linear formulations are supported:
 
-* ``intercept_centered`` - rows are differences against the newest
-  point, with an intercept column.
-* ``intercept_raw`` - rows are the raw points with an intercept
-  column.  Shares its linear coefficient with the centered form on
-  full-rank windows.
-* ``difference_no_intercept`` - rows are differences against the
-  newest point excluding it, no intercept.
+* ``intercept_centered`` - those rows, then the newest point's own row
+  (0, ..., 0, 1) with target 0, and an intercept column.
+* ``difference_no_intercept`` - those rows alone, no intercept.
+
+The quadratic fit has the intercept.  A window the surrogate
+interpolates (m <= w + 1, w the d or 2d columns besides the intercept)
+has intercept exactly 0, so its fit leaves out the newest row and the
+ones column; there both linear formulations solve the same system.
 
 Fit routing: a full window with capacity >= d + 1 is solved from a
 moment cache (``cached_moments``): the window's sums centered at its
@@ -20,7 +23,7 @@ folds the dropped point, the added one and the move of the center into
 one symmetric rank-3 update of the second moments, written in place
 into the top-left block of a bordered-system buffer the window keeps,
 so a fit only writes the O(d) border (its right-hand side and, for the
-intercept modes, the intercept row).  One Cholesky factorization of
+intercept mode, the intercept row).  One Cholesky factorization of
 that bordered system both checks the Gram and solves it.  The system
 buffer is column-major, so the factorization's copy of it into
 LAPACK's layout runs down contiguous columns, and the update writes
@@ -32,16 +35,14 @@ deficiency, and every other window, falls back to a minimum-norm
 pseudoinverse solve; rank deficiency never raises out of
 ``fit_linear``/``fit_quadratic``.
 
-The quadratic fit assembles its design, and its row-space solve writes
-X X^T, into buffers the window keeps.  A window it interpolates
-(m <= 2d + 1) has intercept exactly 0, so that design leaves out the
-newest row and the ones column.  At d of about 100 a fit costs
-little more than its LAPACK and BLAS calls, so the per-call wrappers
-count: both routes call numpy's LAPACK gufuncs (``cholesky_lo``,
-``solve1``, the kernels behind ``np.linalg.cholesky`` and
-``np.linalg.solve``, whose bits they give) directly, and take norms as
-``math.sqrt(v @ v)``, which is what ``np.linalg.norm`` computes on 1-D
-and C-contiguous inputs.
+Every fit the moment cache does not serve assembles its design, and its
+row-space solve writes X X^T, into buffers the window keeps.  At d of
+about 100 a fit costs little more than its LAPACK and BLAS calls, so
+the per-call wrappers count: both routes call numpy's LAPACK gufuncs
+(``cholesky_lo``, ``solve1``, the kernels behind ``np.linalg.cholesky``
+and ``np.linalg.solve``, whose bits they give) directly, and take norms
+as ``math.sqrt(v @ v)``, which is what ``np.linalg.norm`` computes on
+1-D and C-contiguous inputs.
 """
 
 from __future__ import annotations
@@ -55,13 +56,12 @@ from numpy.linalg import _umath_linalg
 
 from .core import NotEnoughSamplesError, SingularUpdateError
 
-REGRESSION_MODES = ("intercept_centered", "intercept_raw", "difference_no_intercept")
+REGRESSION_MODES = ("intercept_centered", "difference_no_intercept")
 
-# Consistency gate for the row-space shortcut; failures fall back to
-# lstsq.  The W-term tracks the attainable backward error of the inner
-# solve, the y-term rejects genuinely inconsistent systems.
+# Consistency gate for the row-space shortcut: a solution whose residual
+# exceeds this fraction of |y| falls back to lstsq.  A singular X X^T
+# leaves a dual far too large to pass it.
 _SOLVE_RTOL = 1e-6
-_SOLVE_BACKWARD_TOL = 1e-9
 # Denominators below this magnitude make a rank-1 inverse update singular.
 _SWAP_SINGULAR_TOL = 1e-12
 # The moment sums are rebuilt from the window once the terms their
@@ -157,9 +157,10 @@ class EvaluationWindow:
     top-left d x d block holds the second moments; the linear fit's
     (k+1)x(k+1) Cholesky factor, which LAPACK writes column-major so the
     buffer holds the upper factor L^T row-major; a row-block scratch (one
-    block whenever m * (d + 2) fits it); and the quadratic fit's design
-    ((m - 1, 2d) when m <= 2d + 1, else (m, 2d + 1)), the contiguous
-    (m, d) differences it is copied from, and its row-space Gram X X^T.
+    block whenever m * (d + 2) fits it); and, for the fits the moment
+    cache does not serve, the design ((m - 1, w) when m <= w + 1, else
+    (m, w + 1), w being d or 2d), the contiguous (m, d) differences it
+    is copied from, and the row-space Gram X X^T.
     Each is allocated on first use and reused while its shape stays the
     same; no fit returns a view of them.  The LU solve's own copy of
     X X^T is allocated inside numpy's gufunc.
@@ -217,13 +218,13 @@ class EvaluationWindow:
             return arr[: self._count].copy()
         return np.concatenate([arr[self._start :], arr[: self._start]])
 
-    def points(self, newest_first: bool = False) -> np.ndarray:
-        out = self._ordered(self._pts)
-        return out[::-1].copy() if newest_first else out
+    def points(self) -> np.ndarray:
+        """The stored points, oldest first, as a new array."""
+        return self._ordered(self._pts)
 
-    def values(self, newest_first: bool = False) -> np.ndarray:
-        out = self._ordered(self._vals)
-        return out[::-1].copy() if newest_first else out
+    def values(self) -> np.ndarray:
+        """The stored values, oldest first, as a new array."""
+        return self._ordered(self._vals)
 
     def newest_point(self) -> np.ndarray:
         idx = (self._start + self._count - 1) % self.capacity
@@ -349,41 +350,23 @@ def _require_samples(window: EvaluationWindow):
         )
 
 
-def assemble_linear_system(window: EvaluationWindow, mode: str):
-    """Build (X, y) for the selected linear formulation.
-
-    Row order: oldest first for ``intercept_centered``, newest first
-    for the other two modes.  The order never affects the solution.
-    """
-    _require_samples(window)
-    if mode == "intercept_centered":
-        pts = window.points()
-        vals = window.values()
-        deltas = pts - pts[-1]
-        x_mat = np.hstack([deltas, np.ones((len(pts), 1))])
-        y_vec = vals - vals[-1]
-    elif mode == "intercept_raw":
-        pts = window.points(newest_first=True)
-        x_mat = np.hstack([pts, np.ones((len(pts), 1))])
-        y_vec = window.values(newest_first=True)
-    elif mode == "difference_no_intercept":
-        pts = window.points(newest_first=True)
-        vals = window.values(newest_first=True)
-        x_mat = pts[1:] - pts[0]
-        y_vec = vals[1:] - vals[0]
-    else:
-        raise ValueError(f"unknown regression mode {mode!r}")
-    return x_mat, y_vec
+def _intercept(mode: str) -> bool:
+    """Whether the linear formulation ``mode`` has an intercept."""
+    if mode not in REGRESSION_MODES:
+        raise ValueError(f"unknown regression mode {mode!r}; expected one of {REGRESSION_MODES}")
+    return mode == "intercept_centered"
 
 
-def _quadratic_design(window: EvaluationWindow, reduced: bool = False):
-    """The quadratic (X, y), X written into the window's design buffer.
+def _design(window: EvaluationWindow, quadratic: bool, intercept: bool):
+    """The centered (X, y), X written into the window's design buffer.
 
-    ``reduced`` leaves out the newest row, (0, ..., 0, 1) with target 0,
-    and the ones column: an (m - 1, 2d) design.
+    Rows are the older points minus the newest, oldest first, followed
+    by their half squares when ``quadratic`` is set.  ``intercept`` adds
+    the newest row, (0, ..., 0, 1) with target 0, and the ones column.
     """
     m, d = len(window), window.dim
-    rows, cols = (m - 1, 2 * d) if reduced else (m, 2 * d + 1)
+    width = 2 * d if quadratic else d
+    rows, cols = (m, width + 1) if intercept else (m - 1, width)
     x_mat = window._design
     if x_mat is None or x_mat.shape != (rows, cols):
         x_mat = window._design = np.empty((rows, cols))
@@ -399,23 +382,36 @@ def _quadratic_design(window: EvaluationWindow, reduced: bool = False):
     # design's column blocks: a ufunc on those strided views loops row by
     # row, and one that reads and writes blocks of the same buffer copies
     # its input first.  The newest point's own zero difference is the
-    # last row, which the reduced design leaves out.
+    # last row, which a design without intercept leaves out.
     x_mat[:, :d] = deltas[:rows]
-    half_squares = x_mat[:, d : 2 * d]
-    for start, stop, block in window._row_blocks(rows, d):
-        np.multiply(deltas[start:stop], 0.5, out=block)
-        block *= deltas[start:stop]
-        half_squares[start:stop] = block
-    if not reduced:
-        x_mat[:, 2 * d] = 1.0
+    if quadratic:
+        half_squares = x_mat[:, d:width]
+        for start, stop, block in window._row_blocks(rows, d):
+            np.multiply(deltas[start:stop], 0.5, out=block)
+            block *= deltas[start:stop]
+            half_squares[start:stop] = block
+    if intercept:
+        x_mat[:, width] = 1.0
     vals = window.values()
     return x_mat, (vals - vals[-1])[:rows]
+
+
+def assemble_linear_system(window: EvaluationWindow, mode: str):
+    """Build (X, y) for the selected linear formulation.
+
+    Rows are oldest first, the newest point's own row (0, ..., 0, 1)
+    last in ``intercept_centered``.  The order never affects the
+    solution.
+    """
+    _require_samples(window)
+    x_mat, y_vec = _design(window, False, _intercept(mode))
+    return x_mat.copy(), y_vec
 
 
 def assemble_quadratic_system(window: EvaluationWindow):
     """Build the (m, 2d+1) design with rows (dx, 0.5*dx*dx, 1)."""
     _require_samples(window)
-    x_mat, y_vec = _quadratic_design(window)
+    x_mat, y_vec = _design(window, True, True)
     return x_mat.copy(), y_vec
 
 
@@ -457,10 +453,7 @@ def solve_least_squares(
             coeffs = x_mat.T @ dual
             resid = x_mat @ coeffs - y_vec
             resid_norm = math.sqrt(resid @ resid)
-            w_flat = w_mat.reshape(-1)
-            gate = _SOLVE_RTOL * math.sqrt(y_vec @ y_vec) + (
-                _SOLVE_BACKWARD_TOL * math.sqrt(w_flat @ w_flat) * math.sqrt(dual @ dual)
-            )
+            gate = _SOLVE_RTOL * math.sqrt(y_vec @ y_vec)
             if math.isfinite(coeffs @ coeffs) and resid_norm <= gate:
                 return coeffs, resid_norm
     coeffs, _, _, _ = np.linalg.lstsq(x_mat, y_vec, rcond=None)
@@ -551,7 +544,7 @@ def _back_substitute(upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _fit_linear_cached_moments(window: EvaluationWindow, mode: str):
+def _fit_linear_cached_moments(window: EvaluationWindow, intercept: bool):
     """Solve the normal equations from the moment cache.
 
     Returns the fit, or None when the cache is unavailable, the
@@ -563,7 +556,7 @@ def _fit_linear_cached_moments(window: EvaluationWindow, mode: str):
         return None
     m = window.capacity
     d = window.dim
-    k = d if mode == "difference_no_intercept" else d + 1
+    k = d + 1 if intercept else d
     # The sums are centered at the newest pair, whose own difference row
     # is identically zero: full-window sums equal those over the m - 1
     # older points, and the Gram block is already in place.
@@ -579,7 +572,7 @@ def _fit_linear_cached_moments(window: EvaluationWindow, mode: str):
         upper = window._upper = np.empty((k + 1, k + 1))
     rhs = system[k, :k]
     rhs[:d] = mom.p_vec
-    if mode != "difference_no_intercept":
+    if intercept:
         system[d, :d] = system[:d, d] = mom.s_vec
         system[d, d] = m
         rhs[d] = mom.f_sum
@@ -597,23 +590,42 @@ def _fit_linear_cached_moments(window: EvaluationWindow, mode: str):
     sol = _back_substitute(upper[:k, :k], upper[:k, k])
     if not np.isfinite(sol).all():
         return None
-    if mode == "difference_no_intercept":
-        g, c, c_delta = sol, None, 0.0
-    else:
-        g, c_delta = sol[:-1], float(sol[-1])
-        if mode == "intercept_centered":
-            c = c_delta
-        else:
-            c = c_delta - float(g @ x_new) + f_new
+    g, c = (sol[:d], float(sol[d])) if intercept else (sol, None)
     # Differences, not raw points: a window far from the origin keeps its
     # digits.  They pass through the row-block scratch.
     resid = np.empty(m)
     for start, stop, block in window._row_blocks(m, d):
         np.subtract(window._pts[start:stop], x_new, out=block)
         np.matmul(block, g, out=resid[start:stop])
-    resid += c_delta
+    if intercept:
+        resid += c
     resid -= offsets
     return SurrogateFit(g, None, c, math.sqrt(resid @ resid), "cached_moments")
+
+
+def _fit_design(window: EvaluationWindow, quadratic: bool, intercept: bool) -> SurrogateFit:
+    """Minimum-norm fit of the centered design, in the window's buffers.
+
+    The newest row is (0, ..., 0, 1) with target 0, so a window of
+    m <= w + 1 points (w = d, or 2d for ``quadratic``), which the
+    surrogate interpolates, has intercept exactly 0.  Its fit solves the
+    reduced (m - 1, w) system without that row and the ones column,
+    whose minimum-norm solution is the full system's, and returns
+    c = 0.0.  Larger windows are least-squares fits on the full design.
+    """
+    d = window.dim
+    width = 2 * d if quadratic else d
+    full = intercept and len(window) > width + 1
+    x_mat, y_vec = _design(window, quadratic, full)
+    rows, gram = x_mat.shape[0], None
+    if rows < x_mat.shape[1]:  # underdetermined: the row-space route needs X X^T
+        gram = window._gram
+        if gram is None or gram.shape[0] != rows:
+            gram = window._gram = np.empty((rows, rows))
+    coeffs, resid_norm = solve_least_squares(x_mat, y_vec, gram)
+    c = float(coeffs[width]) if full else (0.0 if intercept else None)
+    h = coeffs[d:width].copy() if quadratic else None
+    return SurrogateFit(coeffs[:d].copy(), h, c, resid_norm, "pseudoinverse")
 
 
 def fit_linear(window: EvaluationWindow, mode: str = "intercept_centered") -> SurrogateFit:
@@ -621,54 +633,30 @@ def fit_linear(window: EvaluationWindow, mode: str = "intercept_centered") -> Su
 
     A full window with capacity >= d + 1 is solved from the moment
     cache when its bordered Gram passes a Cholesky factorization with
-    no relative pivot below ``_RELATIVE_PIVOT_TOL``; otherwise the
-    assembled system is solved by minimum-norm pseudoinverse.  Rank
-    deficiency therefore degrades the solver path, never raises.
+    no relative pivot below ``_RELATIVE_PIVOT_TOL``.  Every other window
+    is solved by minimum-norm pseudoinverse on the centered design,
+    which at m <= d + 1 leaves out the intercept, so both modes return
+    the same ``g`` there (c = 0.0 or None).  Rank deficiency therefore
+    degrades the solver path, never raises.
     """
     _require_samples(window)
-    if mode not in REGRESSION_MODES:
-        raise ValueError(f"unknown regression mode {mode!r}")
-    d = window.dim
-    # Intercept modes need m >= d + 1 rows for a nonsingular Gram;
+    intercept = _intercept(mode)
+    # The intercept mode needs m >= d + 1 rows for a nonsingular Gram;
     # difference mode drops the newest row and needs m - 1 >= d.
-    if window.is_full and window.capacity >= d + 1:
-        fit = _fit_linear_cached_moments(window, mode)
+    if window.is_full and window.capacity >= window.dim + 1:
+        fit = _fit_linear_cached_moments(window, intercept)
         if fit is not None:
             return fit
-    x_mat, y_vec = assemble_linear_system(window, mode)
-    coeffs, resid_norm = solve_least_squares(x_mat, y_vec)
-    if mode == "difference_no_intercept":
-        g, c = coeffs, None
-    else:
-        g, c = coeffs[:d], float(coeffs[d])
-    return SurrogateFit(np.asarray(g), None, c, resid_norm, "pseudoinverse")
+    return _fit_design(window, False, intercept)
 
 
 def fit_quadratic(window: EvaluationWindow) -> SurrogateFit:
     """Fit the quadratic surrogate (diagonal curvature) on the window.
 
-    The centered design's newest row is (0, ..., 0, 1) with target 0, so
-    a window of m <= 2d + 1 points, which the surrogate interpolates, has
-    intercept exactly 0.  Its fit solves the reduced (m - 1, 2d) system
-    without that row and the ones column, whose minimum-norm solution is
-    the full system's: dropping them takes cond(X) from about 4e7 to
-    1e5 on m = 110, d = 100 ridge windows.  Larger windows are least-
-    squares fits on the full design.
+    The minimum-norm fit of the centered design with intercept, reduced
+    on windows of m <= 2d + 1 points (see ``_fit_design``): dropping the
+    newest row and the ones column takes cond(X) from about 4e7 to 1e5
+    on m = 110, d = 100 ridge windows.
     """
     _require_samples(window)
-    d = window.dim
-    interpolating = len(window) <= 2 * d + 1
-    x_mat, y_vec = _quadratic_design(window, reduced=interpolating)
-    rows, gram = x_mat.shape[0], None
-    if rows < x_mat.shape[1]:  # underdetermined: the row-space route needs X X^T
-        gram = window._gram
-        if gram is None or gram.shape[0] != rows:
-            gram = window._gram = np.empty((rows, rows))
-    coeffs, resid_norm = solve_least_squares(x_mat, y_vec, gram)
-    return SurrogateFit(
-        coeffs[:d].copy(),
-        coeffs[d : 2 * d].copy(),
-        0.0 if interpolating else float(coeffs[2 * d]),
-        resid_norm,
-        "pseudoinverse",
-    )
+    return _fit_design(window, True, True)

@@ -141,6 +141,14 @@ def test_invalid_json_is_config_error(tmp_path):
     assert main(["run", "--config", str(bad)]) == 2
 
 
+def test_retired_regression_mode_is_config_error(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json")
+    data = json.loads(cfg.read_text())
+    data["optimizer"]["regression_mode"] = "intercept_raw"
+    cfg.write_text(json.dumps(data))
+    assert main(["run", "--config", str(cfg)]) == 2
+
+
 def test_all_diverged_exits_one(tmp_path):
     cfg = write_config(
         tmp_path / "cfg.json",

@@ -59,9 +59,11 @@ class TestConfigValidation:
             reszo_cfg(warm_delta=None)
 
     def test_bad_mode_and_direction(self):
-        with pytest.raises(ValueError):
-            reszo_cfg(regression_mode="cubic")
-        with pytest.raises(ValueError):
+        # Each error names the accepted values; intercept_raw is retired.
+        for mode in ("cubic", "intercept_raw"):
+            with pytest.raises(ValueError, match="intercept_centered.*difference_no_intercept"):
+                reszo_cfg(regression_mode=mode)
+        with pytest.raises(ValueError, match="gaussian.*sphere"):
             reszo_cfg(direction="rademacher")
 
 

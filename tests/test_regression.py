@@ -82,13 +82,8 @@ class TestAssembly:
 
     def test_difference_rows(self):
         x_mat, y_vec = assemble_linear_system(self.win, "difference_no_intercept")
-        np.testing.assert_array_equal(x_mat, [[-1.0], [-2.0]])
-        np.testing.assert_array_equal(y_vec, [-1.0, -2.0])
-
-    def test_intercept_raw_rows(self):
-        x_mat, y_vec = assemble_linear_system(self.win, "intercept_raw")
-        np.testing.assert_array_equal(x_mat, [[2.0, 1.0], [1.0, 1.0], [0.0, 1.0]])
-        np.testing.assert_array_equal(y_vec, [2.0, 1.0, 0.0])
+        np.testing.assert_array_equal(x_mat, [[-2.0], [-1.0]])
+        np.testing.assert_array_equal(y_vec, [-2.0, -1.0])
 
     def test_underfilled_window_rejected(self):
         win = EvaluationWindow(4, 1)
@@ -112,13 +107,13 @@ class TestAssembly:
         np.testing.assert_array_equal(x_mat[0], [1.0, -1.0, 0.5, 0.5, 1.0])
 
     def test_quadratic_design_matches_plain_formula(self):
-        # The design is written into the window's buffer in ring order;
+        # Every design is written into the window's buffer in ring order;
         # partial windows and a full window at every offset of its ring
-        # start give the plain formula's matrix bit for bit, with the
-        # half squares in one row block or in blocks of three rows, and
-        # callers get their own copy.  Scales down to 1e-160 put half
-        # squares in the subnormal range, where 0.5 * dx * dx and
-        # 0.5 * (dx * dx) can differ.
+        # start give the plain formula's matrix bit for bit, the
+        # quadratic one with its half squares in one row block or in
+        # blocks of three rows, and callers get their own copy.  Scales
+        # down to 1e-160 put half squares in the subnormal range, where
+        # 0.5 * dx * dx and 0.5 * (dx * dx) can differ.
         d, m = 5, 7
         for block_elements in (regression._BLOCK_ELEMENTS, 3 * d):
             rng = make_rng(36)
@@ -138,6 +133,18 @@ class TestAssembly:
                     assert np.array_equal(x_mat.view(np.uint64), ref.view(np.uint64)), i
                     np.testing.assert_array_equal(y_vec, vals - vals[-1])
                     assert not np.shares_memory(x_mat, win._design)
+                    linear = {
+                        "intercept_centered": (
+                            np.hstack([deltas, np.ones((len(pts), 1))]), vals - vals[-1]
+                        ),
+                        "difference_no_intercept": (deltas[:-1], (vals - vals[-1])[:-1]),
+                    }
+                    for mode in REGRESSION_MODES:
+                        x_mat, y_vec = assemble_linear_system(win, mode)
+                        x_ref, y_ref = linear[mode]
+                        assert np.array_equal(x_mat.view(np.uint64), x_ref.view(np.uint64)), i
+                        np.testing.assert_array_equal(y_vec, y_ref)
+                        assert not np.shares_memory(x_mat, win._design)
             assert offsets == set(range(m))
 
     def test_quadratic_recovers_parabola(self):
@@ -236,22 +243,14 @@ class TestFitLinear:
         a = rng.standard_normal(d)
         pts = rng.standard_normal((d + 2, d))
         win = affine_window(a, 1.5, pts)
-        for mode in ("intercept_centered", "intercept_raw", "difference_no_intercept"):
+        for mode in REGRESSION_MODES:
             g, _, resid_norm = reference_fit(win, mode)
             assert np.max(np.abs(g - a)) <= 1e-8
             assert resid_norm <= 1e-8
-        _, c, _ = reference_fit(win, "intercept_raw")
-        assert c == pytest.approx(1.5, abs=1e-8)
-
-    def test_centered_and_raw_agree_on_g(self):
-        rng = make_rng(32)
-        d = 3
-        pts = rng.standard_normal((8, d))
-        vals = rng.standard_normal(8)
-        win = window_from(pts, vals, dim=d)
-        g_cen, _, _ = reference_fit(win, "intercept_centered")
-        g_raw, _, _ = reference_fit(win, "intercept_raw")
-        assert np.max(np.abs(g_cen - g_raw)) <= 1e-8
+        # The centered intercept is the surrogate's value at the newest
+        # point minus its observed value: 0 on an affine function.
+        _, c, _ = reference_fit(win, "intercept_centered")
+        assert c == pytest.approx(0.0, abs=1e-8)
 
     def test_underdetermined_min_norm_gradient(self):
         # Points differ along (1, 0) only; the unexplored coordinate
@@ -271,7 +270,7 @@ class TestFitLinear:
         for _ in range(m + 6):
             p = rng.standard_normal(d)
             win.push(p, f(p))
-        for mode in ("intercept_centered", "intercept_raw", "difference_no_intercept"):
+        for mode in REGRESSION_MODES:
             fast = fit_linear(win, mode)
             g, c, resid_norm = reference_fit(win, mode)
             assert fast.solver_path == "cached_moments"
@@ -292,12 +291,12 @@ class TestFitLinear:
         d = 3
         pts = rng.standard_normal((7, d))
         vals = rng.standard_normal(7)
-        for mode in ("intercept_centered", "intercept_raw", "difference_no_intercept"):
+        for mode in REGRESSION_MODES:
             g, c, _ = reference_fit(window_from(pts, vals, dim=d), mode)
             g_shift, c_shift, _ = reference_fit(window_from(pts, vals + 100.0, dim=d), mode)
             assert np.max(np.abs(g - g_shift)) <= 1e-9
-            if mode == "intercept_raw":
-                assert c_shift == pytest.approx(c + 100.0, abs=1e-9)
+            if c is not None:
+                assert c_shift == pytest.approx(c, abs=1e-9)
 
     def test_residual_norm_matches_assembled_system(self):
         rng = make_rng(35)
@@ -307,7 +306,7 @@ class TestFitLinear:
         for _ in range(m + 3):
             p = rng.standard_normal(d)
             win.push(p, f(p))
-        for mode in ("intercept_centered", "intercept_raw", "difference_no_intercept"):
+        for mode in REGRESSION_MODES:
             fit = fit_linear(win, mode)
             x_mat, y_vec = assemble_linear_system(win, mode)
             coeffs = fit.g if fit.c is None else np.append(fit.g, fit.c)
@@ -366,7 +365,7 @@ def test_cached_route_matches_lstsq_on_adversarial_windows():
             win.push(p, float(a @ p + 0.1 * np.sin(p).sum()))
             if len(win) < 2:
                 continue
-            for mode in ("intercept_centered", "intercept_raw", "difference_no_intercept"):
+            for mode in REGRESSION_MODES:
                 fit = fit_linear(win, mode)
                 routes.add((mode, fit.solver_path))
                 x_mat, y_vec = assemble_linear_system(win, mode)
@@ -391,7 +390,7 @@ def test_cached_route_matches_lstsq_on_adversarial_windows():
             assert np.max(np.abs(quad.g - ref[:d])) <= tol, (d, capacity, "quadratic g")
             assert np.max(np.abs(quad.h - ref[d : 2 * d])) <= tol, (d, capacity, "quadratic h")
             assert abs(quad.c - ref[2 * d]) <= tol, (d, capacity, "quadratic c")
-    for mode in ("intercept_centered", "intercept_raw", "difference_no_intercept"):
+    for mode in REGRESSION_MODES:
         assert {(mode, "cached_moments"), (mode, "pseudoinverse")} <= routes
     assert quad_underdetermined == {True, False}
 
@@ -457,7 +456,7 @@ def test_cached_fit_factorizes_once(monkeypatch):
     monkeypatch.setattr(regression, "_cholesky_lo", counting_cholesky_lo)
     monkeypatch.setattr(regression, "_solve1", sized_solve1)
     monkeypatch.setattr(np.linalg, "cholesky", refused_cholesky)
-    for mode in ("intercept_centered", "intercept_raw", "difference_no_intercept"):
+    for mode in REGRESSION_MODES:
         factored.clear()
         solved.clear()
         fit = fit_linear(win, mode)
@@ -490,7 +489,7 @@ def test_failed_factorization_takes_pseudoinverse_silently():
     win = EvaluationWindow(m, d)
     for _ in range(m + 2):
         win.push(p, 1.5)
-    for mode in ("intercept_centered", "intercept_raw", "difference_no_intercept"):
+    for mode in REGRESSION_MODES:
         fit = fit_linear(win, mode)
         assert fit.solver_path == "pseudoinverse", mode
         assert np.all(np.isnan(win._upper)), mode
@@ -530,7 +529,7 @@ def test_exact_objectives_take_cached_route(slope):
     for _ in range(m + 20):
         p = rng.standard_normal(d)
         win.push(p, float(a @ p + 3.0))
-    for mode in ("intercept_centered", "intercept_raw", "difference_no_intercept"):
+    for mode in REGRESSION_MODES:
         fit = fit_linear(win, mode)
         assert fit.solver_path == "cached_moments", mode
         assert np.max(np.abs(fit.g - a)) <= 1e-10, mode
@@ -723,10 +722,11 @@ def check_against_lstsq(x_mat, y_vec, fit, label):
     - every other fit, including a cached fit that passed the pivot gate
       on a rank-deficient X, is a least-squares solution with lstsq's
       residual, though not always the minimum-norm one.
-    Underdetermined X with a vacuous bound are not checked: there the
-    row-space shortcut of ``solve_least_squares`` can return a
-    non-solution when X X^T is singular.  Both gaps are open defects
-    (ROADMAP item 3)."""
+    Underdetermined X with a vacuous bound are not checked: on a
+    numerically singular X, such as a far cluster of tiny spread,
+    lstsq's cutoff drops singular values that the row-space solve keeps,
+    so the two answers can differ.  The cached fit's gap is an open
+    defect (ROADMAP item 3)."""
     if fit.h is not None:
         coeffs = np.concatenate([fit.g, fit.h, [fit.c]])
     else:
@@ -802,12 +802,56 @@ def test_rank_deficient_full_window_gives_min_norm_gradient():
         win.push(p, float(a @ p + 0.1 * np.sin(p).sum()))
         if not win.is_full:
             continue
-        for mode in ("intercept_centered", "intercept_raw", "difference_no_intercept"):
+        for mode in REGRESSION_MODES:
             x_mat, y_vec = assemble_linear_system(win, mode)
             ref = np.linalg.lstsq(x_mat, y_vec, rcond=None)[0]
             ref_g = ref if mode == "difference_no_intercept" else ref[:-1]
             g = fit_linear(win, mode).g
             assert np.max(np.abs(g - ref_g)) <= 1e-6 * (1.0 + np.linalg.norm(ref_g)), mode
+
+
+def test_interpolating_linear_fits_share_one_reduced_system():
+    # At m <= d + 1 the centered intercept is exactly 0, so both modes
+    # solve the one reduced system: the same g bit for bit, c = 0.0 and
+    # None, and lstsq's solution of either assembled system.  Partial
+    # windows and full windows of capacity below d + 1 both reach it.
+    for d, capacity, pushes in [(2, 6, 3), (5, 4, 7), (20, 30, 21), (132, 6, 9)]:
+        rng = make_rng(90 + d)
+        win = EvaluationWindow(capacity, d)
+        for _ in range(pushes):
+            p = rng.standard_normal(d)
+            win.push(p, float(np.sin(p).sum()))
+        assert len(win) <= d + 1
+        centered = fit_linear(win, "intercept_centered")
+        difference = fit_linear(win, "difference_no_intercept")
+        assert centered.solver_path == difference.solver_path == "pseudoinverse"
+        assert np.array_equal(centered.g.view(np.uint64), difference.g.view(np.uint64)), d
+        assert centered.c == 0.0 and difference.c is None
+        for mode in REGRESSION_MODES:
+            x_mat, y_vec = assemble_linear_system(win, mode)
+            ref = np.linalg.lstsq(x_mat, y_vec, rcond=None)[0]
+            scale = 1e-9 * (1.0 + np.linalg.norm(ref))
+            assert np.max(np.abs(centered.g - ref[:d])) <= scale, (d, mode)
+            if mode == "intercept_centered":
+                assert abs(ref[d]) <= scale, d
+
+
+def test_quadratic_fit_on_repeated_point_window_matches_lstsq():
+    # A d=2 window whose middle point is pushed twice: the reduced design
+    # has two equal rows, so X X^T is singular and its row-space dual is
+    # meaningless.  The residual gate must send the fit to lstsq.  Point
+    # scales span four decades.
+    worst = 0.0
+    for seed in range(200):
+        r = make_rng(seed)
+        p0, p1, p2 = (r.standard_normal(2) * 10.0 ** r.uniform(-2, 2) for _ in range(3))
+        win = EvaluationWindow(4, 2)
+        for p in (p0, p1, p1, p2):
+            win.push(p, r.standard_normal())
+        x_mat, y_vec = assemble_quadratic_system(win)
+        ref = np.linalg.lstsq(x_mat, y_vec, rcond=None)[0]
+        worst = max(worst, float(np.max(np.abs(fit_quadratic(win).g - ref[:2]))))
+    assert worst <= 1e-6
 
 
 class TestFitQuadratic:

@@ -14,7 +14,8 @@ whose ridge queries span several column panels.  The JSON records, per
 case and per ``RunTrace`` array, its sha256 and its raw bytes.  With
 ``--against``, each array of the new run is reported as byte-identical,
 or with its largest relative drift and the first iteration (or
-coordinate, for ``final_x``) that differs.
+coordinate, for ``final_x``) that differs; a case that only the
+reference has is listed as dropped and counted in the summary.
 
 The report measures drift; it is not a test and fails on nothing.  The
 BLAS thread count is pinned to 1 unless set, so the numbers do not
@@ -48,6 +49,7 @@ from reszo import (  # noqa: E402
     make_rng,
     run_optimizer,
 )
+from reszo.regression import REGRESSION_MODES  # noqa: E402
 
 ARRAYS = (
     "iterations",
@@ -117,7 +119,6 @@ PROBLEMS = {
     ),
 }
 DIRECTIONS = ("sphere", "gaussian")
-MODES = ("intercept_centered", "intercept_raw", "difference_no_intercept")
 # A step size far past stability, so the run diverges.
 DIVERGING_ETA = 1e3
 
@@ -128,7 +129,7 @@ def cases():
         d = prob["spec"].d
         for method in prob["steps"]:
             regression = method in ("l_reszo", "q_reszo")
-            modes = MODES if method == "l_reszo" else (MODES[0],)
+            modes = REGRESSION_MODES if method == "l_reszo" else (REGRESSION_MODES[0],)
             adaptive = (False, True) if regression else (False,)
             eta, delta = prob["steps"][method]
             for direction in DIRECTIONS:
@@ -234,7 +235,8 @@ def drift(new, old):
 
 
 def compare(new_cases, old_cases):
-    """Print one line per case that moved and a summary; return the counts."""
+    """Print one line per case that moved, was added or was dropped, and a
+    summary; return the counts of identical and moved arrays."""
     identical = moved = 0
     for name, case in new_cases.items():
         old = old_cases.get(name)
@@ -266,8 +268,14 @@ def compare(new_cases, old_cases):
             notes.append(f"{key} max rel drift {rel:.3g}, first at {where} {first}")
         if notes:
             print(f"{name}: " + "; ".join(notes))
+    dropped = [name for name in old_cases if name not in new_cases]
+    for name in dropped:
+        print(f"{name}: dropped, in the reference only")
     total = identical + moved
-    print(f"{identical} of {total} arrays byte-identical across {len(new_cases)} cases")
+    print(
+        f"{identical} of {total} arrays byte-identical across {len(new_cases)} cases; "
+        f"{len(dropped)} reference cases dropped"
+    )
     return identical, moved
 
 
