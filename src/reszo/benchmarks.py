@@ -1,22 +1,30 @@
-"""The four benchmark problems.
+"""The four benchmark problems, one ``_PROBLEMS`` table entry each.
 
-Datasets are pure functions of the benchmark spec: the same (problem,
-d, N, lambda, seed) always yields bit-identical data.  Generated
-arrays are cached per spec and marked read-only so that objectives
-can share them; each objective instance carries its own query counter.
-Derived constants are cached the same way, per (d, N, lambda, seed):
-the smoothness constant L (the exact top eigenvalue of the Gram) and
-the optimum f*.  Once a dataset has been seen, building an objective
-over it only wraps the cached arrays and floats.
+An entry is three functions:
 
-Ridge keeps no data matrix: its cache entry is the Cholesky factor F
-of A = H^T H + lam*I (one d x d array), x* and f*, and every query is
-the exact-gap form f* + 0.5*|F^T (x - x*)|^2.  F is lower triangular,
-so the product runs over column panels of ``_RIDGE_PANEL`` columns,
-each a view of F from the panel's diagonal down: a query reads F's
-lower triangle, never an N x d matrix, and at d <= ``_RIDGE_PANEL`` it
-is one d x d GEMV.  H is regenerated from the spec when it is needed
-(``save_dataset``), and f* is still the residual form at x*.
+* ``data(spec)`` generates the dataset, the named arrays that
+  ``save_dataset`` writes.  Datasets are pure functions of the spec:
+  the same (problem, d, N, lambda, seed) always yields bit-identical,
+  read-only arrays.
+* ``constants(arrays, lam)`` derives what an objective keeps from
+  them: for ridge the smoothness constant L, the factor F, x* and f*;
+  for logistic its value and gradient, L and a memoized f*; for the
+  neural net its arrays; for Rosenbrock nothing.
+* ``objective(d, constants)`` wraps those constants in a fresh
+  ``BlackBoxObjective`` with its own query counter.
+
+``make_objective`` takes the constants from one cache keyed by the
+spec, so each dataset is generated and its constants derived once per
+process; ``objective_from_dataset`` derives them from arrays read back
+by ``load_dataset``.  L is the exact top eigenvalue of the Gram.
+
+Ridge keeps no data matrix: its constants are the Cholesky factor F of
+A = H^T H + lam*I (one d x d array), x* and f*, and every query is the
+exact-gap form f* + 0.5*|F^T (x - x*)|^2.  F is lower triangular, so
+the product runs over column panels of ``_RIDGE_PANEL`` columns, each
+a view of F from the panel's diagonal down: a query reads F's lower
+triangle, never an N x d matrix, and at d <= ``_RIDGE_PANEL`` it is
+one d x d GEMV.  f* is the residual form at x*.
 
 Problems:
 
@@ -34,15 +42,13 @@ Problems:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .core import BlackBoxObjective, make_rng
-
-PROBLEMS = ("ridge", "logistic", "rosenbrock", "neural_net")
 
 # Column-panel width of a ridge query.  Panels of 128 columns skip the
 # zero upper triangle of F: at d=900 a query took 234 against 315 us
@@ -84,22 +90,20 @@ class BenchmarkSpec:
             _layer_width(self.d)  # validates the parameter count
 
 
-def _freeze(*arrays):
-    for arr in arrays:
+def _freeze(arrays):
+    for arr in arrays.values():
         arr.setflags(write=False)
+    return arrays
 
 
 # -- ridge -----------------------------------------------------------------
 
 
-def _ridge_data(d, n, seed):
-    # Not cached: objectives keep only the factor and optimum derived below.
-    rng = make_rng(seed, stream=_DATASET_STREAM)
-    h_mat = rng.standard_normal((n, d))
-    noise = rng.standard_normal(n) * np.sqrt(0.1)
-    y_vec = 0.5 * h_mat.sum(axis=1) + noise
-    _freeze(h_mat, y_vec)
-    return h_mat, y_vec
+def _ridge_data(spec):
+    rng = make_rng(spec.seed, stream=_DATASET_STREAM)
+    h_mat = rng.standard_normal((spec.n_samples, spec.d))
+    noise = rng.standard_normal(spec.n_samples) * np.sqrt(0.1)
+    return _freeze({"H": h_mat, "y": 0.5 * h_mat.sum(axis=1) + noise})
 
 
 def _ridge_residual_value(h_mat, y_vec, lam, x):
@@ -107,32 +111,23 @@ def _ridge_residual_value(h_mat, y_vec, lam, x):
     return 0.5 * float(r @ r) + 0.5 * lam * float(x @ x)
 
 
-def _ridge_solution(h_mat, y_vec, lam):
-    """(L, A, x*, f*): A = H^T H + lam*I; f* is the residual form at x*."""
+def _ridge_constants(arrays, lam):
+    """(L, F, x*, f*): A = H^T H + lam*I = F F^T; f* is the residual form at x*.
+
+    H and y are taken out of ``arrays`` and released before the
+    factorization, so set-up never holds H, A and F at once.
+    """
+    h_mat, y_vec = arrays.pop("H"), arrays.pop("y")
     gram = h_mat.T @ h_mat
     smoothness = float(np.linalg.eigvalsh(gram)[-1]) + lam
     # The Gram is not needed again: the ridge system is built in place.
     gram[np.diag_indices_from(gram)] += lam
     x_star = np.linalg.solve(gram, h_mat.T @ y_vec)
-    return smoothness, gram, x_star, _ridge_residual_value(h_mat, y_vec, lam, x_star)
-
-
-def _ridge_factored(smoothness, shifted_gram, x_star, fstar):
-    """(L, F, x*, f*) with A = F F^T, F the lower Cholesky factor."""
-    factor = np.linalg.cholesky(shifted_gram)
-    _freeze(factor, x_star)
+    fstar = _ridge_residual_value(h_mat, y_vec, lam, x_star)
+    del h_mat, y_vec
+    factor = np.linalg.cholesky(gram)
+    _freeze({"F": factor, "x_star": x_star})
     return smoothness, factor, x_star, fstar
-
-
-def _ridge_constants(h_mat, y_vec, lam):
-    return _ridge_factored(*_ridge_solution(h_mat, y_vec, lam))
-
-
-@lru_cache(maxsize=None)
-def _ridge_constants_cached(d, n, lam, seed):
-    # H is released when _ridge_solution returns, before the factorization,
-    # so set-up never holds H, A and F at once.
-    return _ridge_factored(*_ridge_solution(*_ridge_data(d, n, seed), lam))
 
 
 def _ridge_objective(d, constants):
@@ -178,25 +173,20 @@ def _ridge_objective(d, constants):
     )
 
 
-def _make_ridge(spec: BenchmarkSpec) -> BlackBoxObjective:
-    constants = _ridge_constants_cached(spec.d, spec.n_samples, spec.lam, spec.seed)
-    return _ridge_objective(spec.d, constants)
-
-
 # -- logistic --------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _logistic_data(d, n, seed):
-    rng = make_rng(seed, stream=_DATASET_STREAM)
-    s_mat = rng.uniform(-1.0, 1.0, size=(n, d))
+def _logistic_data(spec):
+    rng = make_rng(spec.seed, stream=_DATASET_STREAM)
+    s_mat = rng.uniform(-1.0, 1.0, size=(spec.n_samples, spec.d))
     margins = 0.5 * s_mat.sum(axis=1)
-    labels = np.where(margins >= 0.0, 1.0, -1.0)
-    _freeze(s_mat, labels)
-    return s_mat, labels
+    return _freeze({"S": s_mat, "labels": np.where(margins >= 0.0, 1.0, -1.0)})
 
 
-def _logistic_functions(s_mat, labels, lam):
+def _logistic_constants(arrays, lam):
+    """(value, gradient, L, f*), f* a thunk solved once, on first use."""
+    s_mat, labels = arrays["S"], arrays["labels"]
+
     def value(x):
         z = labels * (s_mat @ x)
         return 0.5 * float(np.sum(np.logaddexp(0.0, -z))) + 0.5 * lam * float(x @ x)
@@ -205,36 +195,21 @@ def _logistic_functions(s_mat, labels, lam):
         z = labels * (s_mat @ x)
         return -0.5 * (s_mat.T @ (sigmoid(-z) * labels)) + lam * x
 
-    return value, grad
-
-
-def _logistic_smoothness(s_mat, lam):
     # The logistic Hessian is bounded by S^T S / 8 + lam (halved loss).
-    return float(np.linalg.eigvalsh(s_mat.T @ s_mat)[-1]) / 8.0 + lam
+    smoothness = float(np.linalg.eigvalsh(s_mat.T @ s_mat)[-1]) / 8.0 + lam
+    solved = []
+
+    def fstar():
+        if not solved:
+            solved.append(_descend(value, grad, s_mat.shape[1], smoothness))
+        return solved[0]
+
+    return value, grad, smoothness, fstar
 
 
-@lru_cache(maxsize=None)
-def _logistic_smoothness_cached(d, n, lam, seed):
-    s_mat, _ = _logistic_data(d, n, seed)
-    return _logistic_smoothness(s_mat, lam)
-
-
-def _logistic_objective(s_mat, labels, lam, smoothness, fstar):
-    value, grad = _logistic_functions(s_mat, labels, lam)
-    return BlackBoxObjective(
-        s_mat.shape[1],
-        value,
-        analytic_gradient=grad,
-        smoothness_L=smoothness,
-        optimum_value=fstar,
-        name="logistic",
-    )
-
-
-def _logistic_fstar(s_mat, labels, lam, smoothness, tol=1e-10, max_iter=500000):
+def _descend(value, grad, d, smoothness, tol=1e-10, max_iter=500000):
     """Plain gradient descent from the origin with step 1/L until |grad| <= tol."""
-    value, grad = _logistic_functions(s_mat, labels, lam)
-    x = np.zeros(s_mat.shape[1])
+    x = np.zeros(d)
     step = 1.0 / smoothness
     for _ in range(max_iter):
         g = grad(x)
@@ -244,21 +219,15 @@ def _logistic_fstar(s_mat, labels, lam, smoothness, tol=1e-10, max_iter=500000):
     raise RuntimeError(f"optimum solve did not reach |grad| <= {tol:g} in {max_iter} steps")
 
 
-@lru_cache(maxsize=None)
-def _logistic_fstar_cached(d, n, lam, seed):
-    s_mat, labels = _logistic_data(d, n, seed)
-    return _logistic_fstar(s_mat, labels, lam, _logistic_smoothness_cached(d, n, lam, seed))
-
-
-def _make_logistic(spec: BenchmarkSpec) -> BlackBoxObjective:
-    key = (spec.d, spec.n_samples, spec.lam, spec.seed)
-    s_mat, labels = _logistic_data(spec.d, spec.n_samples, spec.seed)
-    return _logistic_objective(
-        s_mat,
-        labels,
-        spec.lam,
-        _logistic_smoothness_cached(*key),
-        lambda: _logistic_fstar_cached(*key),
+def _logistic_objective(d, constants):
+    value, grad, smoothness, fstar = constants
+    return BlackBoxObjective(
+        d,
+        value,
+        analytic_gradient=grad,
+        smoothness_L=smoothness,
+        optimum_value=fstar,
+        name="logistic",
     )
 
 
@@ -280,10 +249,10 @@ def _rosenbrock_grad(x):
     return grad
 
 
-def _make_rosenbrock(spec: BenchmarkSpec) -> BlackBoxObjective:
+def _rosenbrock_objective(d, constants):
     """Chained quartic benchmark; gradient exact, no global smoothness."""
     return BlackBoxObjective(
-        spec.d,
+        d,
         _rosenbrock_value,
         analytic_gradient=_rosenbrock_grad,
         optimum_value=0.0,
@@ -329,19 +298,19 @@ def _nn_forward(x, inputs, n):
     return a @ w_o
 
 
-@lru_cache(maxsize=None)
-def _nn_data(d, n_samples, seed):
-    width = _layer_width(d)
-    rng = make_rng(seed, stream=_DATASET_STREAM)
-    x_star = rng.standard_normal(d)
-    inputs = rng.standard_normal((n_samples, width))
+def _nn_data(spec):
+    width = _layer_width(spec.d)
+    rng = make_rng(spec.seed, stream=_DATASET_STREAM)
+    x_star = rng.standard_normal(spec.d)
+    inputs = rng.standard_normal((spec.n_samples, width))
     targets = _nn_forward(x_star, inputs, width)
-    _freeze(x_star, inputs, targets)
-    return x_star, inputs, targets
+    return _freeze({"x_star": x_star, "inputs": inputs, "targets": targets})
 
 
-def _nn_objective(d, inputs, targets):
+def _nn_objective(d, arrays):
+    """Teacher-student squared-error loss; treated as a pure black box."""
     width = _layer_width(d)
+    inputs, targets = arrays["inputs"], arrays["targets"]
 
     def value(x):
         err = _nn_forward(x, inputs, width) - targets
@@ -350,26 +319,28 @@ def _nn_objective(d, inputs, targets):
     return BlackBoxObjective(d, value, optimum_value=0.0, name="neural_net")
 
 
-def _make_neural_net(spec: BenchmarkSpec) -> BlackBoxObjective:
-    """Teacher-student squared-error loss; treated as a pure black box."""
-    _, inputs, targets = _nn_data(spec.d, spec.n_samples, spec.seed)
-    return _nn_objective(spec.d, inputs, targets)
-
-
 # -- common interface ---------------------------------------------------------
 
 
-_MAKERS = {
-    "ridge": _make_ridge,
-    "logistic": _make_logistic,
-    "rosenbrock": _make_rosenbrock,
-    "neural_net": _make_neural_net,
+# problem -> (data(spec), constants(arrays, lam), objective(d, constants)).
+_PROBLEMS = {
+    "ridge": (_ridge_data, _ridge_constants, _ridge_objective),
+    "logistic": (_logistic_data, _logistic_constants, _logistic_objective),
+    "rosenbrock": (lambda spec: {}, lambda arrays, lam: None, _rosenbrock_objective),
+    "neural_net": (_nn_data, lambda arrays, lam: arrays, _nn_objective),
 }
+PROBLEMS = tuple(_PROBLEMS)
+
+
+@lru_cache(maxsize=None)
+def _constants(spec: BenchmarkSpec):
+    data, constants, _ = _PROBLEMS[spec.problem]
+    return constants(data(spec), spec.lam)
 
 
 def make_objective(spec: BenchmarkSpec) -> BlackBoxObjective:
-    """Fresh objective (own query counter) over spec.problem's cached dataset."""
-    return _MAKERS[spec.problem](spec)
+    """Fresh objective (own query counter) over spec.problem's cached constants."""
+    return _PROBLEMS[spec.problem][2](spec.d, _constants(spec))
 
 
 def initial_point(spec: BenchmarkSpec, rng=None) -> np.ndarray:
@@ -384,8 +355,7 @@ def initial_point(spec: BenchmarkSpec, rng=None) -> np.ndarray:
     if spec.problem == "neural_net":
         if rng is None:
             raise ValueError("neural_net initial point needs an rng")
-        x_star, _, _ = _nn_data(spec.d, spec.n_samples, spec.seed)
-        return x_star + rng.uniform(-1.0, 1.0, size=spec.d)
+        return _constants(spec)["x_star"] + rng.uniform(-1.0, 1.0, size=spec.d)
     return np.zeros(spec.d)
 
 
@@ -398,53 +368,20 @@ def save_dataset(spec: BenchmarkSpec, path) -> None:
     Derived constants (smoothness, optimum) are recomputed on load;
     they are deterministic functions of the stored arrays.
     """
-    meta = dict(
-        problem=spec.problem,
-        d=spec.d,
-        n_samples=spec.n_samples,
-        lam=spec.lam,
-        seed=spec.seed,
-    )
-    arrays = {}
-    if spec.problem == "ridge":
-        h_mat, y_vec = _ridge_data(spec.d, spec.n_samples, spec.seed)
-        arrays = {"H": h_mat, "y": y_vec}
-    elif spec.problem == "logistic":
-        s_mat, labels = _logistic_data(spec.d, spec.n_samples, spec.seed)
-        arrays = {"S": s_mat, "labels": labels}
-    elif spec.problem == "neural_net":
-        x_star, inputs, targets = _nn_data(spec.d, spec.n_samples, spec.seed)
-        arrays = {"x_star": x_star, "inputs": inputs, "targets": targets}
-    np.savez(
-        Path(path),
-        **arrays,
-        **{f"meta_{k}": np.asarray(v) for k, v in meta.items()},
-    )
+    meta = {f"meta_{f.name}": np.asarray(getattr(spec, f.name)) for f in fields(BenchmarkSpec)}
+    np.savez(Path(path), **_PROBLEMS[spec.problem][0](spec), **meta)
 
 
 def load_dataset(path):
     """Read back (spec, arrays) from a .npz written by save_dataset."""
     with np.load(Path(path), allow_pickle=False) as data:
-        spec = BenchmarkSpec(
-            problem=str(data["meta_problem"]),
-            d=int(data["meta_d"]),
-            n_samples=int(data["meta_n_samples"]),
-            lam=float(data["meta_lam"]),
-            seed=int(data["meta_seed"]),
-        )
+        meta = {f.name: data[f"meta_{f.name}"].item() for f in fields(BenchmarkSpec)}
+        spec = BenchmarkSpec(**meta)
         arrays = {k: data[k] for k in data.files if not k.startswith("meta_")}
     return spec, arrays
 
 
 def objective_from_dataset(spec: BenchmarkSpec, arrays) -> BlackBoxObjective:
-    """Build an objective over externally supplied arrays."""
-    if spec.problem == "ridge":
-        return _ridge_objective(spec.d, _ridge_constants(arrays["H"], arrays["y"], spec.lam))
-    if spec.problem == "logistic":
-        s_mat, labels = arrays["S"], arrays["labels"]
-        smoothness = _logistic_smoothness(s_mat, spec.lam)
-        fstar = lambda: _logistic_fstar(s_mat, labels, spec.lam, smoothness)
-        return _logistic_objective(s_mat, labels, spec.lam, smoothness, fstar)
-    if spec.problem == "rosenbrock":
-        return _make_rosenbrock(spec)
-    return _nn_objective(spec.d, arrays["inputs"], arrays["targets"])
+    """Build an objective over externally supplied arrays, left unchanged."""
+    _, constants, objective = _PROBLEMS[spec.problem]
+    return objective(spec.d, constants(dict(arrays), spec.lam))

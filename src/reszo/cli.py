@@ -206,9 +206,8 @@ def _cmd_compare(args) -> int:
         print(f"{label}: final mean gap {curve.mean_gap[-1]:.6g}")
     out_dir = Path(exps[0].output_path or "reszo_out")
     out_dir.mkdir(parents=True, exist_ok=True)
-    stride = args.stride if args.stride is not None else exps[0].stride
     path = out_dir / "compare.csv"
-    write_compare_csv(labels, curves, path, stride=stride)
+    write_compare_csv(labels, curves, path, stride=exps[0].stride)
     write_manifest(exps[0], out_dir / "manifest.json", __version__)
     print(f"wrote {path}")
     return 0

@@ -329,42 +329,63 @@ def experiment_to_dict(exp: ExperimentConfig) -> dict:
     }
 
 
+def _int(value, name):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _flag(value, name):
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _optional_float(value):
+    return None if value is None else float(value)
+
+
 def experiment_from_dict(data: dict) -> ExperimentConfig:
     if "config" in data and "benchmark" not in data:
         data = data["config"]  # accept a manifest as a config
-    bench_d = data["benchmark"]
-    opt_d = dict(data["optimizer"])
-    bench = BenchmarkSpec(
-        problem=bench_d["problem"],
-        d=int(bench_d["d"]),
-        n_samples=int(bench_d.get("N", 1000)),
-        lam=float(bench_d.get("lambda", 0.1)),
-        seed=int(bench_d.get("seed", 0)),
-    )
+    # Each known key is popped from a copy of its section; any key left is unknown.
+    top = dict(data)
+    top.pop("workers", None)  # retired; older configs and manifests still load
+    bench_d = dict(top.pop("benchmark"))
+    opt_d = dict(top.pop("optimizer"))
     opt_d.pop("seed", None)  # per-trial seeds come from base_seed
-    opt = OptimizerConfig(
-        method=opt_d["method"],
-        eta=float(opt_d["eta"]),
-        delta=float(opt_d["delta"]),
-        iterations=int(opt_d["iterations"]),
-        window_m=int(opt_d.get("window_m", 0)),
-        warm_eta=None if opt_d.get("warm_eta") is None else float(opt_d["warm_eta"]),
-        warm_delta=None if opt_d.get("warm_delta") is None else float(opt_d["warm_delta"]),
-        adaptive_delta=bool(opt_d.get("adaptive_delta", False)),
-        delta_min=None if opt_d.get("delta_min") is None else float(opt_d["delta_min"]),
-        regression_mode=opt_d.get("regression_mode", "intercept_centered"),
-        direction=opt_d.get("direction", "sphere"),
+    bench = dict(
+        problem=bench_d.pop("problem"),
+        d=_int(bench_d.pop("d"), "d"),
+        n_samples=_int(bench_d.pop("N", 1000), "N"),
+        lam=float(bench_d.pop("lambda", 0.1)),
+        seed=_int(bench_d.pop("seed", 0), "seed"),
     )
-    return ExperimentConfig(
-        benchmark=bench,
-        optimizer=opt,
-        trials=int(data.get("trials", 1)),
-        base_seed=int(data.get("base_seed", 0)),
-        confidence=float(data.get("confidence", 0.8)),
-        record_diagnostics=bool(data.get("record_diagnostics", False)),
-        output_path=data.get("output_path"),
-        stride=int(data.get("stride", 1)),
+    opt = dict(
+        method=opt_d.pop("method"),
+        eta=float(opt_d.pop("eta")),
+        delta=float(opt_d.pop("delta")),
+        iterations=_int(opt_d.pop("iterations"), "iterations"),
+        window_m=_int(opt_d.pop("window_m", 0), "window_m"),
+        warm_eta=_optional_float(opt_d.pop("warm_eta", None)),
+        warm_delta=_optional_float(opt_d.pop("warm_delta", None)),
+        adaptive_delta=_flag(opt_d.pop("adaptive_delta", False), "adaptive_delta"),
+        delta_min=_optional_float(opt_d.pop("delta_min", None)),
+        regression_mode=opt_d.pop("regression_mode", "intercept_centered"),
+        direction=opt_d.pop("direction", "sphere"),
     )
+    exp = dict(
+        trials=_int(top.pop("trials", 1), "trials"),
+        base_seed=_int(top.pop("base_seed", 0), "base_seed"),
+        confidence=float(top.pop("confidence", 0.8)),
+        record_diagnostics=_flag(top.pop("record_diagnostics", False), "record_diagnostics"),
+        output_path=top.pop("output_path", None),
+        stride=_int(top.pop("stride", 1), "stride"),
+    )
+    for section, unknown in (("benchmark", bench_d), ("optimizer", opt_d), ("config", top)):
+        if unknown:
+            raise ValueError(f"unknown {section} key(s): {', '.join(sorted(unknown))}")
+    return ExperimentConfig(BenchmarkSpec(**bench), OptimizerConfig(**opt), **exp)
 
 
 def write_manifest(exp: ExperimentConfig, path, version: str) -> None:

@@ -443,7 +443,7 @@ def test_criterion_09_rosenbrock_and_network_sanity():
     nn_spec = BenchmarkSpec("neural_net", d=132, n_samples=500, seed=0)
     from reszo.benchmarks import _nn_data
 
-    x_star, _, _ = _nn_data(nn_spec.d, nn_spec.n_samples, nn_spec.seed)
+    x_star = _nn_data(nn_spec)["x_star"]
     teacher_loss = make_objective(nn_spec).evaluate(np.array(x_star))
 
     x0 = reszo.initial_point(nn_spec, make_rng(100, stream=1))

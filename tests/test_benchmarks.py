@@ -19,12 +19,14 @@ from reszo import (
     save_dataset,
 )
 from reszo.benchmarks import (
+    _PROBLEMS,
     _RIDGE_PANEL,
+    PROBLEMS,
+    _constants,
     _layer_width,
     _logistic_data,
     _nn_data,
     _ridge_constants,
-    _ridge_constants_cached,
     _ridge_data,
     _ridge_residual_value,
     pack_parameters,
@@ -69,7 +71,7 @@ class TestRidge:
 
     def test_smoothness_constant_is_top_eigenvalue(self):
         obj = make_objective(self.spec)
-        h_mat, _ = _ridge_data(self.spec.d, self.spec.n_samples, self.spec.seed)
+        h_mat = _ridge_data(self.spec)["H"]
         exact = np.linalg.eigvalsh(h_mat.T @ h_mat)[-1] + self.spec.lam
         assert obj.smoothness_L == pytest.approx(exact, rel=1e-12)
 
@@ -77,7 +79,7 @@ class TestRidge:
         # The gradient changes by exactly (H^T H + lam) v along a unit top
         # eigenvector v, so any underestimate of L fails here.
         obj = make_objective(self.spec)
-        h_mat, _ = _ridge_data(self.spec.d, self.spec.n_samples, self.spec.seed)
+        h_mat = _ridge_data(self.spec)["H"]
         v = np.linalg.eigh(h_mat.T @ h_mat)[1][:, -1]
         x = np.zeros(self.spec.d)
         lhs = np.linalg.norm(obj.gradient(x + v) - obj.gradient(x))
@@ -88,14 +90,15 @@ class TestRidge:
         # L, the factor, x* and f* from the Gram shifted in place equal, bit
         # for bit, those from the explicit gram + lam * I.
         lam = 0.1
-        h_mat, y_vec = _ridge_data(d, n, 5)
+        arrays = _ridge_data(BenchmarkSpec("ridge", d=d, n_samples=n, lam=lam, seed=5))
+        h_mat, y_vec = arrays["H"], arrays["y"]
         gram = h_mat.T @ h_mat
         shifted = gram + lam * np.eye(d)
         x_star = np.linalg.solve(shifted, h_mat.T @ y_vec)
         expected = np.array(
             [np.linalg.eigvalsh(gram)[-1] + lam, _ridge_residual_value(h_mat, y_vec, lam, x_star)]
         )
-        smoothness, factor, got_x_star, fstar = _ridge_constants(h_mat, y_vec, lam)
+        smoothness, factor, got_x_star, fstar = _ridge_constants(dict(arrays), lam)
         got = np.array([smoothness, fstar])
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
         assert np.array_equal(factor.view(np.uint64), np.linalg.cholesky(shifted).view(np.uint64))
@@ -109,7 +112,8 @@ class TestRidge:
         # terms of H^T(Hx - y)) dominates, so the bounds carry that floor.
         spec = BenchmarkSpec("ridge", d=d, n_samples=n, seed=5)
         obj = make_objective(spec)
-        h_mat, y_vec = _ridge_data(d, n, spec.seed)
+        arrays = _ridge_data(spec)
+        h_mat, y_vec = arrays["H"], arrays["y"]
         fstar = obj.optimum_value
         x_star = np.linalg.solve(h_mat.T @ h_mat + spec.lam * np.eye(d), h_mat.T @ y_vec)
         rng = make_rng(21)
@@ -133,7 +137,7 @@ class TestRidge:
         assert d <= _RIDGE_PANEL
         spec = BenchmarkSpec("ridge", d=d, n_samples=200, seed=5)
         obj = make_objective(spec)
-        _, factor, x_star, fstar = _ridge_constants_cached(d, spec.n_samples, spec.lam, spec.seed)
+        _, factor, x_star, fstar = _constants(spec)
         rng = make_rng(22)
         for _ in range(5):
             x = rng.standard_normal(d)
@@ -168,7 +172,7 @@ class TestLogistic:
 
     def test_smoothness_constant_is_top_eigenvalue(self):
         obj = make_objective(self.spec)
-        s_mat, _ = _logistic_data(self.spec.d, self.spec.n_samples, self.spec.seed)
+        s_mat = _logistic_data(self.spec)["S"]
         exact = np.linalg.eigvalsh(s_mat.T @ s_mat)[-1] / 8.0 + self.spec.lam
         assert obj.smoothness_L == pytest.approx(exact, rel=1e-12)
 
@@ -177,7 +181,7 @@ class TestLogistic:
         # loses about 1e-9 (relative) of that curvature, so an L short by
         # 1e-8 or more fails here; rounding (about 2e-12) stays below the gap.
         obj = make_objective(self.spec)
-        s_mat, _ = _logistic_data(self.spec.d, self.spec.n_samples, self.spec.seed)
+        s_mat = _logistic_data(self.spec)["S"]
         v = np.linalg.eigh(s_mat.T @ s_mat)[1][:, -1]
         x, step = np.zeros(self.spec.d), 1e-4
         lhs = np.linalg.norm(obj.gradient(x + step * v) - obj.gradient(x))
@@ -240,7 +244,7 @@ class TestNeuralNet:
 
     def test_teacher_loss_is_exactly_zero(self):
         obj = make_objective(self.spec)
-        x_star, _, _ = _nn_data(self.spec.d, self.spec.n_samples, self.spec.seed)
+        x_star = _nn_data(self.spec)["x_star"]
         assert obj.evaluate(np.array(x_star)) == 0.0
 
     def test_nonnegative_everywhere(self):
@@ -255,7 +259,7 @@ class TestNeuralNet:
         assert np.array_equal(pack_parameters(*unpack_parameters(x, n)), x)
 
     def test_initial_point_near_teacher(self):
-        x_star, _, _ = _nn_data(self.spec.d, self.spec.n_samples, self.spec.seed)
+        x_star = _nn_data(self.spec)["x_star"]
         x0 = initial_point(self.spec, make_rng(3, stream=1))
         assert np.all(np.abs(x0 - x_star) <= 1.0)
         with pytest.raises(ValueError):
@@ -286,9 +290,10 @@ class TestDeterminismAndSharing:
         assert a.evaluate(x) != b.evaluate(x)
 
     def test_dataset_arrays_are_read_only(self):
-        h_mat, _ = _ridge_data(5, 30, 3)
-        with pytest.raises(ValueError):
-            h_mat[0, 0] = 1.0
+        for problem, (data, _, _) in _PROBLEMS.items():
+            for arr in data(BenchmarkSpec(problem, d=7, n_samples=30, seed=3)).values():
+                with pytest.raises(ValueError):
+                    arr[0] = 1.0
 
     def test_derived_constants_are_built_once_per_dataset(self, monkeypatch):
         eigvalsh, cholesky = np.linalg.eigvalsh, np.linalg.cholesky
@@ -304,7 +309,7 @@ class TestDeterminismAndSharing:
 
         monkeypatch.setattr(reszo.benchmarks.np.linalg, "eigvalsh", counting_eigvalsh)
         monkeypatch.setattr(reszo.benchmarks.np.linalg, "cholesky", counting_cholesky)
-        _ridge_constants_cached.cache_clear()
+        _constants.cache_clear()
         spec = BenchmarkSpec("ridge", d=4, n_samples=20, seed=17)
         exp = ExperimentConfig(
             benchmark=spec,
@@ -332,7 +337,7 @@ class TestDeterminismAndSharing:
         # rows; the cache entry is one d x d factor plus d-vectors.
         spec = BenchmarkSpec("ridge", d=20, n_samples=5000, seed=9)
         obj = make_objective(spec)
-        entry = _ridge_constants_cached(spec.d, spec.n_samples, spec.lam, spec.seed)
+        entry = _constants(spec)
         for root in (obj, entry):
             shapes = sorted(a.shape for a in _reachable_arrays(root))
             assert shapes == [(20,), (20, 20)]
@@ -361,30 +366,31 @@ def _reachable_arrays(root):
 
 
 class TestDumpLoad:
+    # d=7 suits every problem: the neural net's width is 1.
     @pytest.mark.parametrize(
-        "spec",
-        [
-            BenchmarkSpec("ridge", d=5, n_samples=30, seed=3),
-            BenchmarkSpec("logistic", d=4, n_samples=25, seed=6),
-            BenchmarkSpec("rosenbrock", d=6),
-            BenchmarkSpec("neural_net", d=7, n_samples=15, seed=1),
-        ],
+        "spec", [BenchmarkSpec(problem, d=7, n_samples=25, seed=3) for problem in PROBLEMS]
     )
     def test_roundtrip_reproduces_objective(self, spec, tmp_path):
         path = tmp_path / "data.npz"
         save_dataset(spec, path)
         loaded_spec, arrays = load_dataset(path)
         assert loaded_spec == spec
+        before = {name: arr.copy() for name, arr in arrays.items()}
         original = make_objective(spec)
         rebuilt = objective_from_dataset(loaded_spec, arrays)
+        # The caller's mapping keeps every array, unchanged.
+        assert arrays.keys() == before.keys()
+        for name, arr in arrays.items():
+            assert np.array_equal(arr, before[name])
         rng = make_rng(13)
         for _ in range(5):
             x = rng.standard_normal(spec.d)
             assert original.evaluate(x) == rebuilt.evaluate(x)
-        if spec.problem in ("ridge", "logistic"):
-            # The uncached build must reproduce the cached constants bit for bit.
-            assert original.smoothness_L == rebuilt.smoothness_L
-            assert original.optimum_value == rebuilt.optimum_value
+            if original.analytic_gradient is not None:
+                assert np.array_equal(original.gradient(x), rebuilt.gradient(x))
+        # Constants rebuilt from the arrays equal the cached ones bit for bit.
+        assert original.smoothness_L == rebuilt.smoothness_L
+        assert original.optimum_value == rebuilt.optimum_value
 
 
 def test_sigmoid_stable_at_extremes():

@@ -149,6 +149,47 @@ def test_retired_regression_mode_is_config_error(tmp_path):
     assert main(["run", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("optimizer", "regresion_mode", "difference_no_intercept"),
+        ("benchmark", "lamda", 0.2),
+        (None, "trails", 3),
+        ("optimizer", "adaptive_delta", "false"),
+        (None, "record_diagnostics", 1),
+        ("benchmark", "d", 4.7),
+        ("benchmark", "N", 20.0),
+        ("optimizer", "iterations", "20"),
+        (None, "trials", True),
+    ],
+)
+def test_unknown_key_or_mistyped_value_is_config_error(tmp_path, capsys, section, key, value):
+    cfg = write_config(tmp_path / "cfg.json")
+    data = json.loads(cfg.read_text())
+    (data if section is None else data[section])[key] = value
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--output", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_stride_flag_subsamples_rows(tmp_path):
+    cfg_l = write_config(tmp_path / "l.json")
+    cfg_t = write_config(
+        tmp_path / "t.json",
+        optimizer={"method": "tzo", "eta": 1e-4, "delta": 0.01, "iterations": 20},
+    )
+    rows = {}
+    for stride in (1, 3):
+        out = tmp_path / f"cmp{stride}"
+        argv = ["compare", "--configs", str(cfg_l), str(cfg_t), "--output", str(out)]
+        assert main(argv + ["--stride", str(stride)]) == 0
+        rows[stride] = (out / "compare.csv").read_text().splitlines()
+        assert json.loads((out / "manifest.json").read_text())["config"]["stride"] == stride
+    assert rows[3] == rows[1][:1] + rows[1][1::3]
+
+
 def test_all_diverged_exits_one(tmp_path):
     cfg = write_config(
         tmp_path / "cfg.json",

@@ -32,7 +32,8 @@ def test_ridge_value_at_closed_form_minimizer():
     # Independent normal-equations solve and value computation.
     from reszo.benchmarks import _ridge_data
 
-    h_mat, y_vec = _ridge_data(spec.d, spec.n_samples, spec.seed)
+    arrays = _ridge_data(spec)
+    h_mat, y_vec = arrays["H"], arrays["y"]
     x_star = np.linalg.solve(
         h_mat.T @ h_mat + spec.lam * np.eye(spec.d), h_mat.T @ y_vec
     )

@@ -10,7 +10,9 @@ d=100 or the neural net d=132: all five methods, both direction
 distributions, every regression mode and adaptive delta on and off for
 the regression methods, each observed by a diagnostics collector, plus
 runs that diverge.  Ridge d=300 adds short l_reszo and q_reszo runs,
-whose ridge queries span several column panels.  The JSON records, per
+whose ridge queries span several column panels, and logistic d=20 and
+Rosenbrock d=20 add tzo, l_reszo and q_reszo runs, so every benchmark
+problem is covered.  The JSON records, per
 case and per ``RunTrace`` array, its sha256 and its raw bytes.  With
 ``--against``, each array of the new run is reported as byte-identical,
 or with its largest relative drift and the first iteration (or
@@ -71,6 +73,8 @@ ARRAYS = (
 # uses the shipped m=6 window, where every fit is a row-space solve.
 # ridge300 runs only the regression methods, for 40 fits past the warm
 # phase: its queries and gradients sum over three column panels of F.
+# logistic20 and rosen20 run one baseline and both regression methods
+# with steps that converge on both direction distributions.
 PROBLEMS = {
     "ridge20": dict(
         spec=BenchmarkSpec("ridge", d=20, n_samples=200, seed=3),
@@ -116,6 +120,18 @@ PROBLEMS = {
             "l_reszo": (2e-6, 0.002),
             "q_reszo": (4e-6, 0.002),
         },
+    ),
+    "logistic20": dict(
+        spec=BenchmarkSpec("logistic", d=20, n_samples=200, seed=3),
+        iterations=120,
+        window=dict(window_m=30, warm_eta=1e-6, warm_delta=0.05),
+        steps={method: (1e-3, 0.01) for method in ("tzo", "l_reszo", "q_reszo")},
+    ),
+    "rosen20": dict(
+        spec=BenchmarkSpec("rosenbrock", d=20),
+        iterations=120,
+        window=dict(window_m=30, warm_eta=1e-6, warm_delta=0.05),
+        steps={method: (1e-5, 0.01) for method in ("tzo", "l_reszo", "q_reszo")},
     ),
 }
 DIRECTIONS = ("sphere", "gaussian")
