@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from itertools import repeat
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -296,96 +297,90 @@ def write_trials_csv(results: Sequence[TrialResult], path, stride: int = 1) -> N
             writer.writerows(zip(*columns))
 
 
+# The JSON schema is the fields of ExperimentConfig and of the
+# BenchmarkSpec and OptimizerConfig it holds: their names, defaults and
+# annotations.  Only what differs from the fields is written out here.
+_JSON_KEYS = {BenchmarkSpec: {"n_samples": "N", "lam": "lambda"}}
+# Keys a section accepts and ignores.  A field of that name is never
+# written or read: per-trial optimizer seeds come from base_seed.  A
+# top-level "workers" is retired; older configs and manifests carry it.
+_IGNORED = {ExperimentConfig: {"workers"}, OptimizerConfig: {"seed"}}
+_JSON_TYPES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
+
+
+def _json_fields(cls):
+    """(field, JSON key) of each field of ``cls`` that JSON carries."""
+    keys = _JSON_KEYS.get(cls, {})
+    ignored = _IGNORED.get(cls, ())
+    for f in fields(cls):
+        key = keys.get(f.name, f.name)
+        if key not in ignored:
+            yield f, key
+
+
+def _to_json(obj) -> dict:
+    out = {}
+    for f, key in _json_fields(type(obj)):
+        value = getattr(obj, f.name)
+        out[key] = _to_json(value) if is_dataclass(value) else value
+    return out
+
+
+def _checked(value, hint, key):
+    """``value`` if it has the JSON type of annotation ``hint``; an
+    integer for a float field becomes a float."""
+    kind = ""
+    if type(None) in get_args(hint):
+        if value is None:
+            return None
+        (hint,) = (arg for arg in get_args(hint) if arg is not type(None))
+        kind = " or null"
+    if isinstance(value, bool):
+        ok = hint is bool
+    elif hint is float:
+        # A comparison rather than float(): NaN, the infinities and
+        # integers too large for a float fail it without raising.
+        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    else:
+        ok = isinstance(value, hint)
+    if not ok:
+        raise ValueError(f"{key} must be {_JSON_TYPES[hint]}{kind}, got {value!r}")
+    return float(value) if hint is float else value
+
+
+def _from_json(cls, data, section):
+    if not isinstance(data, dict):
+        raise ValueError(f"{section} must be a JSON object, got {data!r}")
+    rest = {key: value for key, value in data.items() if key not in _IGNORED.get(cls, ())}
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f, key in _json_fields(cls):
+        if key not in rest:
+            if f.default is MISSING:
+                raise ValueError(f"missing {section} key: {key}")
+            continue
+        value, hint = rest.pop(key), hints[f.name]
+        kwargs[f.name] = (
+            _from_json(hint, value, key) if is_dataclass(hint) else _checked(value, hint, key)
+        )
+    if rest:
+        raise ValueError(f"unknown {section} key(s): {', '.join(sorted(rest))}")
+    return cls(**kwargs)
+
+
 def experiment_to_dict(exp: ExperimentConfig) -> dict:
-    bench = exp.benchmark
-    opt = exp.optimizer
-    return {
-        "benchmark": {
-            "problem": bench.problem,
-            "d": bench.d,
-            "N": bench.n_samples,
-            "lambda": bench.lam,
-            "seed": bench.seed,
-        },
-        "optimizer": {
-            "method": opt.method,
-            "eta": opt.eta,
-            "delta": opt.delta,
-            "iterations": opt.iterations,
-            "window_m": opt.window_m,
-            "warm_eta": opt.warm_eta,
-            "warm_delta": opt.warm_delta,
-            "adaptive_delta": opt.adaptive_delta,
-            "delta_min": opt.delta_min,
-            "regression_mode": opt.regression_mode,
-            "direction": opt.direction,
-        },
-        "trials": exp.trials,
-        "base_seed": exp.base_seed,
-        "confidence": exp.confidence,
-        "record_diagnostics": exp.record_diagnostics,
-        "output_path": exp.output_path,
-        "stride": exp.stride,
-    }
-
-
-def _int(value, name):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _flag(value, name):
-    if not isinstance(value, bool):
-        raise ValueError(f"{name} must be true or false, got {value!r}")
-    return value
-
-
-def _optional_float(value):
-    return None if value is None else float(value)
+    return _to_json(exp)
 
 
 def experiment_from_dict(data: dict) -> ExperimentConfig:
-    if "config" in data and "benchmark" not in data:
+    """The config in ``data``, or in a manifest's ``config`` object.
+
+    Raises ValueError on a key that is missing or unknown, a value not
+    of its field's JSON type, or a config the dataclasses reject.
+    """
+    if isinstance(data, dict) and "config" in data and "benchmark" not in data:
         data = data["config"]  # accept a manifest as a config
-    # Each known key is popped from a copy of its section; any key left is unknown.
-    top = dict(data)
-    top.pop("workers", None)  # retired; older configs and manifests still load
-    bench_d = dict(top.pop("benchmark"))
-    opt_d = dict(top.pop("optimizer"))
-    opt_d.pop("seed", None)  # per-trial seeds come from base_seed
-    bench = dict(
-        problem=bench_d.pop("problem"),
-        d=_int(bench_d.pop("d"), "d"),
-        n_samples=_int(bench_d.pop("N", 1000), "N"),
-        lam=float(bench_d.pop("lambda", 0.1)),
-        seed=_int(bench_d.pop("seed", 0), "seed"),
-    )
-    opt = dict(
-        method=opt_d.pop("method"),
-        eta=float(opt_d.pop("eta")),
-        delta=float(opt_d.pop("delta")),
-        iterations=_int(opt_d.pop("iterations"), "iterations"),
-        window_m=_int(opt_d.pop("window_m", 0), "window_m"),
-        warm_eta=_optional_float(opt_d.pop("warm_eta", None)),
-        warm_delta=_optional_float(opt_d.pop("warm_delta", None)),
-        adaptive_delta=_flag(opt_d.pop("adaptive_delta", False), "adaptive_delta"),
-        delta_min=_optional_float(opt_d.pop("delta_min", None)),
-        regression_mode=opt_d.pop("regression_mode", "intercept_centered"),
-        direction=opt_d.pop("direction", "sphere"),
-    )
-    exp = dict(
-        trials=_int(top.pop("trials", 1), "trials"),
-        base_seed=_int(top.pop("base_seed", 0), "base_seed"),
-        confidence=float(top.pop("confidence", 0.8)),
-        record_diagnostics=_flag(top.pop("record_diagnostics", False), "record_diagnostics"),
-        output_path=top.pop("output_path", None),
-        stride=_int(top.pop("stride", 1), "stride"),
-    )
-    for section, unknown in (("benchmark", bench_d), ("optimizer", opt_d), ("config", top)):
-        if unknown:
-            raise ValueError(f"unknown {section} key(s): {', '.join(sorted(unknown))}")
-    return ExperimentConfig(BenchmarkSpec(**bench), OptimizerConfig(**opt), **exp)
+    return _from_json(ExperimentConfig, data, "config")
 
 
 def write_manifest(exp: ExperimentConfig, path, version: str) -> None:

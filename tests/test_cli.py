@@ -161,17 +161,41 @@ def test_retired_regression_mode_is_config_error(tmp_path):
         ("benchmark", "N", 20.0),
         ("optimizer", "iterations", "20"),
         (None, "trials", True),
+        ("optimizer", "eta", None),
+        ("optimizer", "eta", True),
+        ("optimizer", "delta", "0.002"),
+        ("optimizer", "warm_eta", True),
+        ("benchmark", "lambda", None),
+        (None, "output_path", 5),
+        (None, "confidence", None),
+        ("optimizer", "eta", float("nan")),
+        ("optimizer", "delta", float("inf")),
+        ("benchmark", "lambda", float("nan")),
     ],
 )
 def test_unknown_key_or_mistyped_value_is_config_error(tmp_path, capsys, section, key, value):
     cfg = write_config(tmp_path / "cfg.json")
     data = json.loads(cfg.read_text())
     (data if section is None else data[section])[key] = value
-    cfg.write_text(json.dumps(data))
+    cfg.write_text(json.dumps(data))  # NaN and inf as JSON NaN and Infinity
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--output", str(out)]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("section", [None, "benchmark"])
+def test_config_that_is_not_an_object_is_config_error(tmp_path, capsys, section):
+    cfg = write_config(tmp_path / "cfg.json")
+    data = json.loads(cfg.read_text())
+    if section is None:
+        data = [1]
+    else:
+        data[section] = [1]
+    cfg.write_text(json.dumps(data))
+    assert main(["run", "--config", str(cfg), "--output", str(tmp_path / "out")]) == 2
+    assert f"{section or 'config'} must be a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_compare_stride_flag_subsamples_rows(tmp_path):

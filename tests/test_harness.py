@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -321,10 +323,99 @@ def test_csv_writers_match_per_value_formatting(tmp_path, stride):
     assert (tmp_path / "cmp.csv").read_bytes() == _csv_bytes(rows)
 
 
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+# Every field JSON carries is off its default (OptimizerConfig.seed,
+# which manifests leave out, is not carried).
+OFF_DEFAULTS = ExperimentConfig(
+    benchmark=BenchmarkSpec("logistic", d=7, n_samples=33, lam=0.25, seed=4),
+    optimizer=OptimizerConfig(
+        method="q_reszo",
+        eta=2e-3,
+        delta=0.0,
+        iterations=30,
+        window_m=9,
+        warm_eta=3e-4,
+        warm_delta=0.06,
+        adaptive_delta=True,
+        delta_min=1e-9,
+        regression_mode="difference_no_intercept",
+        direction="gaussian",
+    ),
+    trials=4,
+    base_seed=11,
+    confidence=0.9,
+    record_diagnostics=True,
+    output_path="out/every_field",
+    stride=3,
+)
+
+
 def test_experiment_dict_roundtrip():
-    exp = small_experiment(record_diagnostics=True, stride=2)
-    again = experiment_from_dict(experiment_to_dict(exp))
-    assert again == exp
+    for obj in (OFF_DEFAULTS, OFF_DEFAULTS.benchmark, OFF_DEFAULTS.optimizer):
+        for f in dataclasses.fields(obj):
+            if f.default is not dataclasses.MISSING and f.name != "seed":
+                assert getattr(obj, f.name) != f.default, f.name
+    assert CONFIGS
+    shipped = [experiment_from_dict(json.loads(path.read_text())) for path in CONFIGS]
+    for exp in [OFF_DEFAULTS] + shipped:
+        assert experiment_from_dict(experiment_to_dict(exp)) == exp
+        assert experiment_from_dict(json.loads(json.dumps(experiment_to_dict(exp)))) == exp
+
+
+def test_experiment_dict_keys():
+    # A new dataclass field must be added here before it reaches manifests.
+    data = experiment_to_dict(OFF_DEFAULTS)
+    assert set(data) == {
+        "benchmark", "optimizer", "trials", "base_seed", "confidence",
+        "record_diagnostics", "output_path", "stride",
+    }
+    assert set(data["benchmark"]) == {"problem", "d", "N", "lambda", "seed"}
+    assert set(data["optimizer"]) == {
+        "method", "eta", "delta", "iterations", "window_m", "warm_eta", "warm_delta",
+        "adaptive_delta", "delta_min", "regression_mode", "direction",
+    }
+    # The retired keys load and are ignored.
+    data["workers"] = 4
+    data["optimizer"]["seed"] = 5
+    assert experiment_from_dict(data) == OFF_DEFAULTS
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        (None, "benchmark"),
+        (None, "optimizer"),
+        ("benchmark", "problem"),
+        ("benchmark", "d"),
+        ("optimizer", "method"),
+        ("optimizer", "eta"),
+        ("optimizer", "delta"),
+        ("optimizer", "iterations"),
+    ],
+)
+def test_missing_required_key_is_rejected(section, key):
+    data = experiment_to_dict(OFF_DEFAULTS)
+    del (data if section is None else data[section])[key]
+    with pytest.raises(ValueError, match=f"missing {section or 'config'} key: {key}"):
+        experiment_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [float("nan"), float("inf"), float("-inf"), 10**400],
+    ids=["nan", "inf", "-inf", "10**400"],
+)
+@pytest.mark.parametrize(
+    "section, key",
+    [("benchmark", "lambda"), (None, "confidence")]
+    + [("optimizer", k) for k in ("eta", "delta", "warm_eta", "warm_delta", "delta_min")],
+)
+def test_float_field_rejects_non_finite(section, key, value):
+    data = experiment_to_dict(OFF_DEFAULTS)
+    (data if section is None else data[section])[key] = value
+    with pytest.raises(ValueError, match=f"{key} must be a finite number"):
+        experiment_from_dict(data)
 
 
 def test_merge_and_compare_csv(tmp_path):

@@ -12,7 +12,10 @@ the regression methods, each observed by a diagnostics collector, plus
 runs that diverge.  Ridge d=300 adds short l_reszo and q_reszo runs,
 whose ridge queries span several column panels, and logistic d=20 and
 Rosenbrock d=20 add tzo, l_reszo and q_reszo runs, so every benchmark
-problem is covered.  The JSON records, per
+problem is covered.  Each shipped ``configs/*.json``, loaded through
+``experiment_from_dict``, adds one case: its trial 0 (seed and initial
+point), cut to ``window_m + 100`` iterations (baselines: 200) and
+diagnosed when the config records diagnostics.  The JSON records, per
 case and per ``RunTrace`` array, its sha256 and its raw bytes.  With
 ``--against``, each array of the new run is reported as byte-identical,
 or with its largest relative drift and the first iteration (or
@@ -36,6 +39,7 @@ import base64  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
+from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -46,12 +50,16 @@ from reszo import (  # noqa: E402
     DiagnosticsCollector,
     DivergenceError,
     OptimizerConfig,
+    experiment_from_dict,
     initial_point,
     make_objective,
     make_rng,
     run_optimizer,
 )
+from reszo.optimizers import REGRESSION_METHODS  # noqa: E402
 from reszo.regression import REGRESSION_MODES  # noqa: E402
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 ARRAYS = (
     "iterations",
@@ -140,16 +148,17 @@ DIVERGING_ETA = 1e3
 
 
 def cases():
-    """(name, problem, OptimizerConfig, diagnosed) for the fixed matrix."""
+    """(name, BenchmarkSpec, OptimizerConfig, diagnosed) for the fixed
+    matrix, then for each shipped config."""
     for pname, prob in PROBLEMS.items():
-        d = prob["spec"].d
+        spec = prob["spec"]
         for method in prob["steps"]:
             regression = method in ("l_reszo", "q_reszo")
             modes = REGRESSION_MODES if method == "l_reszo" else (REGRESSION_MODES[0],)
             adaptive = (False, True) if regression else (False,)
             eta, delta = prob["steps"][method]
             for direction in DIRECTIONS:
-                scale = d if direction == "gaussian" else 1
+                scale = spec.d if direction == "gaussian" else 1
                 for mode in modes:
                     for adapt in adaptive:
                         kw = dict(
@@ -169,7 +178,7 @@ def cases():
                             name += f"/{mode}"
                         if adapt:
                             name += "/adaptive"
-                        yield name, pname, OptimizerConfig(**kw), regression
+                        yield name, spec, OptimizerConfig(**kw), regression
         for method in ("rszo", "l_reszo", "q_reszo"):
             if method not in prob["steps"]:
                 continue
@@ -182,11 +191,16 @@ def cases():
             )
             if method != "rszo":
                 kw.update(prob["window"])
-            yield f"{pname}/{method}/diverging", pname, OptimizerConfig(**kw), method != "rszo"
+            yield f"{pname}/{method}/diverging", spec, OptimizerConfig(**kw), method != "rszo"
+    for path in sorted(CONFIGS.glob("*.json")):
+        exp = experiment_from_dict(json.loads(path.read_text()))
+        regression = exp.optimizer.method in REGRESSION_METHODS
+        iterations = exp.optimizer.window_m + 100 if regression else 200
+        cfg = replace(exp.optimizer, iterations=iterations, seed=exp.base_seed)
+        yield f"config/{path.stem}", exp.benchmark, cfg, regression and exp.record_diagnostics
 
 
-def run_case(pname, cfg, diagnosed):
-    spec = PROBLEMS[pname]["spec"]
+def run_case(spec, cfg, diagnosed):
     obj = make_objective(spec)
     collector = None
     if diagnosed:
@@ -215,8 +229,8 @@ def decode(entry):
 
 def collect():
     out = {}
-    for name, pname, cfg, diagnosed in cases():
-        trace = run_case(pname, cfg, diagnosed)
+    for name, spec, cfg, diagnosed in cases():
+        trace = run_case(spec, cfg, diagnosed)
         arrays = {
             key: encode(getattr(trace, key))
             for key in ARRAYS
