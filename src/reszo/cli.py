@@ -4,8 +4,9 @@ Config files are JSON mirroring ExperimentConfig; see the README for
 the schema.  A manifest written by a previous run is itself a valid
 config (the embedded ``config`` object is used), which is how runs are
 reproduced bit-exactly.  Flags override config keys.  Exit status is 0
-on success, 1 when an experiment fails (every trial diverged), 2 on
-bad configs or arguments.
+on success, 1 when an experiment fails (every trial diverged) or its
+results cannot be written (``export failed: ...`` on stderr), 2 on bad
+configs or arguments.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .core import ExperimentFailedError
 from .diagnostics import cd_statistics
 from .harness import (
     ExperimentConfig,
+    ExportError,
     experiment_from_dict,
     export_results,
     grid_search,
@@ -29,6 +31,18 @@ from .harness import (
     write_compare_csv,
     write_manifest,
 )
+
+
+def _write_csv(out_dir, name: str, header: str, lines) -> None:
+    """Write a CSV to ``out_dir/name``; a failed write is an ExportError."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        with open(out / name, "w") as fh:
+            fh.write(header + "\n")
+            fh.writelines(line + "\n" for line in lines)
+    except OSError as exc:
+        raise ExportError(f"failed to export results to {out}: {exc}") from exc
 
 
 def _load_config(path: str) -> ExperimentConfig:
@@ -122,7 +136,8 @@ def _cmd_grid(args) -> int:
     exp = _apply_overrides(_load_config(args.config), args)
     trials = args.trials if args.trials is not None else 10
     best, table = grid_search(exp, args.eta, args.delta, trials=trials)
-    print("eta,delta,score,queries_to_2x,diverged_trials")
+    header = "eta,delta,score,queries_to_2x,diverged_trials"
+    print(header)
     for cell in table:
         print(
             f"{cell.eta:g},{cell.delta:g},{cell.score:.6g},"
@@ -130,15 +145,11 @@ def _cmd_grid(args) -> int:
         )
     print(f"best: eta={best.eta:g} delta={best.delta:g} score={best.score:.6g}")
     if exp.output_path:
-        out = Path(exp.output_path)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "grid.csv", "w") as fh:
-            fh.write("eta,delta,score,queries_to_2x,diverged_trials\n")
-            for cell in table:
-                fh.write(
-                    f"{cell.eta!r},{cell.delta!r},{cell.score!r},"
-                    f"{cell.queries_to_2x!r},{cell.diverged_trials}\n"
-                )
+        lines = (
+            f"{c.eta!r},{c.delta!r},{c.score!r},{c.queries_to_2x!r},{c.diverged_trials}"
+            for c in table
+        )
+        _write_csv(exp.output_path, "grid.csv", header, lines)
     return 0
 
 
@@ -158,7 +169,8 @@ def _cmd_cd_ratio(args) -> int:
         values = [] if tr.cd_ratios is None else tr.cd_ratios[np.isfinite(tr.cd_ratios)]
         pooled.extend(values)
         rows.append((res.index, cd_statistics(values)))
-    print("trial,count,max,p99,mean")
+    header = "trial,count,max,p99,mean"
+    print(header)
     for idx, stats in rows:
         print(
             f"{idx},{stats['count']},{stats['max']:.6g},"
@@ -169,18 +181,11 @@ def _cmd_cd_ratio(args) -> int:
         f"all,{total['count']},{total['max']:.6g},{total['p99']:.6g},{total['mean']:.6g}"
     )
     if exp.output_path:
-        out = Path(exp.output_path)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "cd_stats.csv", "w") as fh:
-            fh.write("trial,count,max,p99,mean\n")
-            for idx, stats in rows:
-                fh.write(
-                    f"{idx},{stats['count']},{stats['max']!r},"
-                    f"{stats['p99']!r},{stats['mean']!r}\n"
-                )
-            fh.write(
-                f"all,{total['count']},{total['max']!r},{total['p99']!r},{total['mean']!r}\n"
-            )
+        lines = (
+            f"{idx},{s['count']},{s['max']!r},{s['p99']!r},{s['mean']!r}"
+            for idx, s in rows + [("all", total)]
+        )
+        _write_csv(exp.output_path, "cd_stats.csv", header, lines)
     return 0
 
 
@@ -205,10 +210,13 @@ def _cmd_compare(args) -> int:
         curves.append(curve)
         print(f"{label}: final mean gap {curve.mean_gap[-1]:.6g}")
     out_dir = Path(exps[0].output_path or "reszo_out")
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "compare.csv"
-    write_compare_csv(labels, curves, path, stride=exps[0].stride)
-    write_manifest(exps[0], out_dir / "manifest.json", __version__)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_compare_csv(labels, curves, path, stride=exps[0].stride)
+        write_manifest(exps[0], out_dir / "manifest.json", __version__)
+    except OSError as exc:
+        raise ExportError(f"failed to export results to {out_dir}: {exc}") from exc
     print(f"wrote {path}")
     return 0
 
@@ -226,6 +234,9 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except ExperimentFailedError as exc:
         print(f"experiment failed: {exc}", file=sys.stderr)
+        return 1
+    except ExportError as exc:
+        print(f"export failed: {exc}", file=sys.stderr)
         return 1
     except (FileNotFoundError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -15,6 +15,14 @@ import numpy as np
 DIVERGENCE_THRESHOLD = 1e12
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite.  A finite sum of squares
+    settles it with one BLAS dot and no boolean temporary; only one that
+    overflows or is NaN is checked entry by entry.  ``np.vdot``, unlike
+    ``@``, does not warn when the sum overflows."""
+    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
+
+
 class DimensionMismatchError(ValueError):
     """Input vector length does not match the objective dimension."""
 
@@ -113,7 +121,7 @@ class BlackBoxObjective:
             raise DimensionMismatchError(
                 f"expected vector of length {self.dimension}, got shape {x.shape}"
             )
-        if not np.isfinite(x).all():
+        if not _all_finite(x):
             raise EvaluationFailureError("non-finite entries in input point", x=x)
         return x
 

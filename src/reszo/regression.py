@@ -24,7 +24,8 @@ one symmetric rank-3 update of the second moments, written in place
 into the top-left block of a bordered-system buffer the window keeps,
 so a fit only writes the O(d) border (its right-hand side and, for the
 intercept mode, the intercept row).  One Cholesky factorization of
-that bordered system both checks the Gram and solves it.  The system
+that bordered system both checks the Gram and solves it, and one back
+substitution finishes the fit, which reads no window point.  The system
 buffer is column-major, so the factorization's copy of it into
 LAPACK's layout runs down contiguous columns, and the update writes
 contiguous column blocks.  The factor lands in a second window-kept
@@ -54,7 +55,7 @@ from typing import Optional
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .core import NotEnoughSamplesError, SingularUpdateError
+from .core import NotEnoughSamplesError, SingularUpdateError, _all_finite
 
 REGRESSION_MODES = ("intercept_centered", "difference_no_intercept")
 
@@ -68,8 +69,8 @@ _SWAP_SINGULAR_TOL = 1e-12
 # updates added and cancelled outweigh the Gram's trace by this factor.
 _RECENTER_LIMIT = 100.0
 # Elements of the row-block scratch (256 KB) through which the moment
-# update, the cached residual and the quadratic design's half squares
-# pass, so none allocates a d x d or m x d temporary.
+# update and the quadratic design's half squares pass, so neither
+# allocates a d x d or m x d temporary.
 _BLOCK_ELEMENTS = 32768
 # Diagonal block size of the blocked triangular solve.  Each block is an
 # LU solve of O(block^3), so 32-row blocks are faster (37 against 44 us
@@ -107,7 +108,6 @@ class SurrogateFit:
     g: np.ndarray
     h: Optional[np.ndarray]
     c: Optional[float]
-    residual_norm: float
     solver_path: str
 
 
@@ -154,13 +154,14 @@ class EvaluationWindow:
     The window also keeps its fits' buffers, so neither a push nor a fit
     allocates a d x d, m x d or m x m temporary: the (d+2)x(d+2)
     bordered normal matrix, column-major as LAPACK reads it, whose
-    top-left d x d block holds the second moments; the linear fit's
-    (k+1)x(k+1) Cholesky factor, which LAPACK writes column-major so the
-    buffer holds the upper factor L^T row-major; a row-block scratch (one
-    block whenever m * (d + 2) fits it); and, for the fits the moment
-    cache does not serve, the design ((m - 1, w) when m <= w + 1, else
-    (m, w + 1), w being d or 2d), the contiguous (m, d) differences it
-    is copied from, and the row-space Gram X X^T.
+    top-left d x d block holds the second moments; the rank-3 update's
+    (3, d) and (3, d+2) operands, which each push fills in place; the
+    linear fit's (k+1)x(k+1) Cholesky factor, which LAPACK writes
+    column-major so the buffer holds the upper factor L^T row-major; a
+    row-block scratch (one block whenever m * (d + 2) fits it); and, for
+    the fits the moment cache does not serve, the design ((m - 1, w) when
+    m <= w + 1, else (m, w + 1), w being d or 2d), the contiguous (m, d)
+    differences it is copied from, and the row-space Gram X X^T.
     Each is allocated on first use and reused while its shape stays the
     same; no fit returns a view of them.  The LU solve's own copy of
     X X^T is allocated inside numpy's gufunc.
@@ -180,6 +181,7 @@ class EvaluationWindow:
         self._rebuild_every = max(dim, 64)
         self._mom: Optional[_MomentCache] = None
         self._system: Optional[np.ndarray] = None
+        self._operands: Optional[tuple] = None
         self._upper: Optional[np.ndarray] = None
         self._scratch: Optional[np.ndarray] = None
         self._design: Optional[np.ndarray] = None
@@ -194,11 +196,15 @@ class EvaluationWindow:
         return self._count == self.capacity
 
     def push(self, point: np.ndarray, value: float) -> None:
-        """Insert a pair; on a full window it replaces the oldest one."""
+        """Insert a pair, replacing the oldest on a full window.  A pair
+        with a non-finite entry, which would poison every later fit,
+        raises ValueError."""
         point = np.asarray(point, dtype=np.float64)
         if point.shape != (self.dim,):
             raise ValueError(f"expected point of shape ({self.dim},), got {point.shape}")
         value = float(value)
+        if not (math.isfinite(value) and _all_finite(point)):
+            raise ValueError(f"non-finite pair: value {value!r} at point {point!r}")
         if self._count < self.capacity:
             self._pts[self._count] = point
             self._vals[self._count] = value
@@ -264,25 +270,30 @@ class EvaluationWindow:
         if mom.updates + 1 >= self._rebuild_every:
             self._mom = None  # rebuilt from the window at the next fit
             return
-        m = self.capacity
-        u_vec = add_pt - mom.c_ref
-        dd = drop_pt - mom.c_ref
+        m, d = self.capacity, self.dim
+        # Window buffers: rows (w, u, -dd) of left_t, (u, w, dd) of right.
+        left_t, right = self._operands
+        w_vec, u_vec, neg_dd = left_t
+        dd = right[2, :d]
+        np.subtract(add_pt, mom.c_ref, out=u_vec)
+        np.subtract(drop_pt, mom.c_ref, out=dd)
         phi = add_val - mom.f_ref
         vd = drop_val - mom.f_ref
         # Drop dd, add u, then move the center by u with the updated
         # s' = s - dd + u:  M - dd dd^T + u u^T - u s'^T - s' u^T + m u u^T
         # = M + u w^T + w u^T - dd dd^T.
-        w_vec = (0.5 * (m - 1)) * u_vec - mom.s_vec + dd
+        np.multiply(u_vec, 0.5 * (m - 1), out=w_vec)
+        w_vec -= mom.s_vec
+        w_vec += dd
+        np.negative(dd, out=neg_dd)
+        right[0, :d], right[1, :d] = u_vec, w_vec
         # The system is column-major: its transpose's full-width row blocks
         # are its contiguous column blocks.  Row j of a block holds column j,
         # entry i being w_j u_i + u_j w_i - dd_j dd_i: term for term the
         # products, in the same order, of the row-major update
         # u_i w_j + w_i u_j - dd_i dd_j.  The border rows get +0.0.
-        left = np.array((w_vec, u_vec, -dd)).T
-        right = np.zeros((3, self.dim + 2))
-        right[:, : self.dim] = (u_vec, w_vec, dd)
-        columns = self._system.T
-        for start, stop, block in self._row_blocks(self.dim, self.dim + 2):
+        left, columns = left_t.T, self._system.T
+        for start, stop, block in self._row_blocks(d, d + 2):
             np.matmul(left[start:stop], right, out=block)
             columns[start:stop] += block
         # The same drop, add and move for the first moments.
@@ -291,7 +302,7 @@ class EvaluationWindow:
         mom.s_vec -= dd + (m - 1) * u_vec
         mom.f_sum -= vd + (m - 1) * phi
         mom.mass += float(dd @ dd) + 2.0 * math.sqrt(float(u_vec @ u_vec) * float(w_vec @ w_vec))
-        mom.c_ref = add_pt.copy()
+        mom.c_ref[:] = add_pt
         mom.f_ref = add_val
         mom.updates += 1
 
@@ -323,6 +334,7 @@ class EvaluationWindow:
                 # Column-major, as LAPACK reads it: the factorization's
                 # copy-in then runs down contiguous columns.
                 self._system = np.empty((d + 2, d + 2), order="F")
+                self._operands = (np.empty((3, d)), np.zeros((3, d + 2)))
             c_ref = self.newest_point().copy()
             f_ref = self.newest_value()
             deltas = self._pts - c_ref
@@ -416,14 +428,6 @@ def assemble_quadratic_system(window: EvaluationWindow):
 
 
 # -- solvers ---------------------------------------------------------------
-
-
-def _all_finite(a: np.ndarray) -> bool:
-    """Whether every entry of ``a`` is finite.  A finite sum of squares
-    settles it with one BLAS dot and no boolean temporary; only one that
-    overflows or is NaN is checked entry by entry."""
-    flat = a.reshape(-1)
-    return math.isfinite(flat @ flat) or bool(np.isfinite(flat).all())
 
 
 def solve_least_squares(
@@ -537,8 +541,11 @@ def _back_substitute(upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     n = rhs.shape[0]
     x = np.empty(n)
     block = _SUBSTITUTION_BLOCK
-    for start in range((n - 1) // block * block, -1, -block):
-        stop = min(start + block, n)
+    start = (n - 1) // block * block
+    # The bottom block has no solved tail to fold in.
+    _solve1(upper[start:, start:], rhs[start:], out=x[start:])
+    for start in range(start - block, -1, -block):
+        stop = start + block
         part = rhs[start:stop] - upper[start:stop, stop:] @ x[stop:]
         _solve1(upper[start:stop, start:stop], part, out=x[start:stop])
     return x
@@ -559,9 +566,9 @@ def _fit_linear_cached_moments(window: EvaluationWindow, intercept: bool):
     k = d + 1 if intercept else d
     # The sums are centered at the newest pair, whose own difference row
     # is identically zero: full-window sums equal those over the m - 1
-    # older points, and the Gram block is already in place.
-    x_new, f_new = mom.c_ref, mom.f_ref
-    offsets = window._vals - f_new
+    # older points, and the Gram block is already in place.  The fit
+    # reads no window point.
+    offsets = window._vals - mom.f_ref
     # The normal matrix bordered by its right-hand side b, with a corner
     # above b^T G^-1 b = |P y|^2 <= |y|^2: its Cholesky factor is
     # [[L, 0], [z^T, *]] with L z = b, so one factorization both checks
@@ -588,19 +595,10 @@ def _fit_linear_cached_moments(window: EvaluationWindow, intercept: bool):
     if pivots.min() < _RELATIVE_PIVOT_TOL:
         return None
     sol = _back_substitute(upper[:k, :k], upper[:k, k])
-    if not np.isfinite(sol).all():
+    if not _all_finite(sol):
         return None
     g, c = (sol[:d], float(sol[d])) if intercept else (sol, None)
-    # Differences, not raw points: a window far from the origin keeps its
-    # digits.  They pass through the row-block scratch.
-    resid = np.empty(m)
-    for start, stop, block in window._row_blocks(m, d):
-        np.subtract(window._pts[start:stop], x_new, out=block)
-        np.matmul(block, g, out=resid[start:stop])
-    if intercept:
-        resid += c
-    resid -= offsets
-    return SurrogateFit(g, None, c, math.sqrt(resid @ resid), "cached_moments")
+    return SurrogateFit(g, None, c, "cached_moments")
 
 
 def _fit_design(window: EvaluationWindow, quadratic: bool, intercept: bool) -> SurrogateFit:
@@ -622,10 +620,11 @@ def _fit_design(window: EvaluationWindow, quadratic: bool, intercept: bool) -> S
         gram = window._gram
         if gram is None or gram.shape[0] != rows:
             gram = window._gram = np.empty((rows, rows))
-    coeffs, resid_norm = solve_least_squares(x_mat, y_vec, gram)
+    # The coefficients are a fresh array, so g and h are views of it.
+    coeffs, _ = solve_least_squares(x_mat, y_vec, gram)
     c = float(coeffs[width]) if full else (0.0 if intercept else None)
-    h = coeffs[d:width].copy() if quadratic else None
-    return SurrogateFit(coeffs[:d].copy(), h, c, resid_norm, "pseudoinverse")
+    h = coeffs[d:width] if quadratic else None
+    return SurrogateFit(coeffs[:d], h, c, "pseudoinverse")
 
 
 def fit_linear(window: EvaluationWindow, mode: str = "intercept_centered") -> SurrogateFit:

@@ -221,3 +221,21 @@ def test_all_diverged_exits_one(tmp_path):
         trials=2,
     )
     assert main(["run", "--config", str(cfg)]) == 1
+
+
+@pytest.mark.parametrize("command", ["run", "grid", "cd-ratio", "compare"])
+def test_unwritable_output_is_export_failure(tmp_path, capsys, command):
+    # An output directory under a regular file cannot be created.
+    cfg = write_config(tmp_path / "cfg.json", trials=1)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = str(blocker / "out")
+    argv = {
+        "run": ["run", "--config", str(cfg)],
+        "grid": ["grid", "--config", str(cfg), "--eta", "1e-4", "--delta", "0.01"],
+        "cd-ratio": ["cd-ratio", "--config", str(cfg)],
+        "compare": ["compare", "--configs", str(cfg)],
+    }[command]
+    assert main(argv + ["--output", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("export failed: ") and str(blocker) in err

@@ -6,6 +6,7 @@ from reszo import (
     BlackBoxObjective,
     DimensionMismatchError,
     EvaluationFailureError,
+    EvaluationWindow,
     make_objective,
     make_rng,
 )
@@ -63,6 +64,18 @@ def test_non_finite_input_rejected():
     obj = BlackBoxObjective(2, lambda x: 0.0)
     with pytest.raises(EvaluationFailureError):
         obj.evaluate(np.array([np.nan, 0.0]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_finite_input_accepted_without_warning():
+    # The finiteness check sums squares, which overflow on this point: it
+    # must neither reject the point nor warn, and nor may a window push.
+    obj = BlackBoxObjective(2, lambda x: 1.0)
+    x = np.array([1e200, -1e200])
+    assert obj.evaluate(x) == 1.0
+    win = EvaluationWindow(2, 2)
+    win.push(x, 1.0)
+    assert len(win) == 1
 
 
 def test_oracle_channel_not_counted():

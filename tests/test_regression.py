@@ -43,6 +43,18 @@ def svd_pinv_solve(x_mat, y_vec):
     return vt.T @ (s_inv * (u.T @ (x_mat.T @ y_vec)))
 
 
+def fit_coeffs(fit):
+    """A fit's coefficients in the column order of its assembled system."""
+    if fit.h is not None:
+        return np.concatenate([fit.g, fit.h, [fit.c]])
+    return fit.g if fit.c is None else np.append(fit.g, fit.c)
+
+
+def residual_norm(fit, x_mat, y_vec):
+    """|X beta - y| for the fit's coefficients beta on its assembled system."""
+    return float(np.linalg.norm(x_mat @ fit_coeffs(fit) - y_vec))
+
+
 def reference_fit(win, mode):
     """(g, c, residual_norm) from the pseudoinverse solve of the assembled system."""
     coeffs, resid_norm = solve_least_squares(*assemble_linear_system(win, mode))
@@ -65,6 +77,29 @@ class TestWindow:
         win = EvaluationWindow(2, 2)
         with pytest.raises(ValueError):
             win.push(np.zeros(3), 0.0)
+
+    def test_push_rejects_non_finite_pair(self):
+        # A NaN or infinite point entry or value would poison the moment
+        # sums; the push names the pair and leaves the window as it was.
+        d, m = 3, 6
+        win = full_window(d, m, 30)
+        before = {mode: fit_linear(win, mode) for mode in REGRESSION_MODES}
+        points, values = win.points(), win.values()
+        bad_pairs = [
+            (np.array([0.1, np.nan, 0.2]), 1.0),
+            (np.array([0.1, -np.inf, 0.2]), 1.0),
+            (np.ones(d), float("nan")),
+            (np.ones(d), float("inf")),
+        ]
+        for point, value in bad_pairs:
+            with pytest.raises(ValueError, match="non-finite pair"):
+                win.push(point, value)
+        np.testing.assert_array_equal(win.points(), points)
+        np.testing.assert_array_equal(win.values(), values)
+        for mode, fit in before.items():
+            again = fit_linear(win, mode)
+            assert again.solver_path == "cached_moments"
+            assert np.array_equal(again.g.view(np.uint64), fit.g.view(np.uint64))
 
     def test_spread(self):
         win = window_from([[0.0], [3.0], [1.0]], [0, 0, 0])
@@ -154,7 +189,7 @@ class TestAssembly:
         newest = xs[-1]
         assert fit.g[0] == pytest.approx(2.0 * newest, abs=1e-8)
         assert fit.h[0] == pytest.approx(2.0, abs=1e-8)
-        assert fit.residual_norm <= 1e-8
+        assert residual_norm(fit, *assemble_quadratic_system(win)) <= 1e-8
 
 
 class TestSolveLeastSquares:
@@ -277,7 +312,8 @@ class TestFitLinear:
             assert np.max(np.abs(fast.g - g)) <= 1e-6
             if fast.c is not None:
                 assert fast.c == pytest.approx(c, abs=1e-6)
-            assert fast.residual_norm == pytest.approx(resid_norm, abs=1e-8)
+            resid = residual_norm(fast, *assemble_linear_system(win, mode))
+            assert resid == pytest.approx(resid_norm, abs=1e-8)
 
     def test_rank_deficiency_falls_back_silently(self):
         # All points identical: every Gram is singular.
@@ -308,10 +344,9 @@ class TestFitLinear:
             win.push(p, f(p))
         for mode in REGRESSION_MODES:
             fit = fit_linear(win, mode)
-            x_mat, y_vec = assemble_linear_system(win, mode)
-            coeffs = fit.g if fit.c is None else np.append(fit.g, fit.c)
-            direct = float(np.linalg.norm(x_mat @ coeffs - y_vec))
-            assert fit.residual_norm == pytest.approx(direct, abs=1e-8)
+            _, _, ref_resid = reference_fit(win, mode)
+            direct = residual_norm(fit, *assemble_linear_system(win, mode))
+            assert direct == pytest.approx(ref_resid, abs=1e-8)
 
 
 def adversarial_stream(rng, d, n, phase_len=40):
@@ -380,7 +415,7 @@ def test_cached_route_matches_lstsq_on_adversarial_windows():
                     ref_g = ref[:-1]
                     assert abs(fit.c - ref[-1]) <= tol, (d, capacity, mode)
                 assert np.max(np.abs(fit.g - ref_g)) <= tol, (d, capacity, mode)
-                assert abs(fit.residual_norm - ref_resid) <= sv[0] * tol
+                assert abs(residual_norm(fit, x_mat, y_vec) - ref_resid) <= sv[0] * tol
             quad = fit_quadratic(win)
             x_mat, y_vec = assemble_quadratic_system(win)
             ref, tol, _ = lstsq_with_bound(x_mat, y_vec)
@@ -518,6 +553,23 @@ def test_fits_do_not_alias_window_buffers(mode):
     assert not np.array_equal(second.g, kept[0])
 
 
+def test_cached_fit_reads_no_window_point():
+    # A cached fit is the bordered factorization and one substitution on
+    # the moment sums: with every stored point overwritten by NaN it
+    # returns the same g and c, bit for bit.
+    win = full_window(40, 50, 85)
+    before = {mode: fit_linear(win, mode) for mode in REGRESSION_MODES}
+    win._pts[:] = np.nan
+    for mode, fit in before.items():
+        again = fit_linear(win, mode)
+        assert fit.solver_path == again.solver_path == "cached_moments"
+        assert np.array_equal(again.g.view(np.uint64), fit.g.view(np.uint64)), mode
+        if fit.c is None:
+            assert again.c is None
+        else:
+            assert np.float64(again.c).view(np.uint64) == np.float64(fit.c).view(np.uint64)
+
+
 @pytest.mark.parametrize("slope", [True, False], ids=["linear", "constant"])
 def test_exact_objectives_take_cached_route(slope):
     # y lies in the column space (or is zero), so b^T G^-1 b = |y|^2:
@@ -563,7 +615,7 @@ def test_moment_updates_match_fresh_build():
 def test_steady_push_and_fit_allocate_no_square_temporaries(mode):
     # Once the window's buffers exist, a push and a cached fit on a full
     # d=300 window allocate well under one d x d array: the moment update
-    # and the residual pass through the row-block scratch.
+    # passes through the row-block scratch.
     d, m = 300, 310
     rng = make_rng(87)
     win = full_window(d, m, 87)
@@ -671,7 +723,8 @@ def test_steady_push_and_quadratic_fit_allocate_no_m_by_m_temporaries():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert fit.residual_norm <= 1e-6 * np.linalg.norm(win.values())
+    resid = residual_norm(fit, *assemble_quadratic_system(win))
+    assert resid <= 1e-6 * np.linalg.norm(win.values())
     assert peak < m * m * 8, peak
 
 
@@ -727,16 +780,14 @@ def check_against_lstsq(x_mat, y_vec, fit, label):
     lstsq's cutoff drops singular values that the row-space solve keeps,
     so the two answers can differ.  The cached fit's gap is an open
     defect (ROADMAP item 3)."""
-    if fit.h is not None:
-        coeffs = np.concatenate([fit.g, fit.h, [fit.c]])
-    else:
-        coeffs = fit.g if fit.c is None else np.append(fit.g, fit.c)
+    coeffs = fit_coeffs(fit)
+    resid = residual_norm(fit, x_mat, y_vec)
     ref, tol, sv = lstsq_with_bound(x_mat, y_vec)
     ref_resid = float(np.linalg.norm(x_mat @ ref - y_vec))
     scale = 1.0 + float(np.linalg.norm(ref))
     if np.isfinite(tol) and tol < scale:
         assert np.max(np.abs(coeffs - ref)) <= tol, label
-        assert abs(fit.residual_norm - ref_resid) <= sv[0] * tol, label
+        assert abs(resid - ref_resid) <= sv[0] * tol, label
         return
     if x_mat.shape[0] < x_mat.shape[1]:
         return
@@ -744,7 +795,6 @@ def check_against_lstsq(x_mat, y_vec, fit, label):
     if deficient and fit.solver_path == "pseudoinverse":
         assert np.max(np.abs(coeffs - ref)) <= 1e-6 * scale, label
     else:
-        resid = float(np.linalg.norm(x_mat @ coeffs - y_vec))
         assert resid <= ref_resid + 1e-6 * (1.0 + float(np.linalg.norm(y_vec))), label
 
 
@@ -765,7 +815,7 @@ def test_window_fits_match_lstsq_on_generated_streams(stream):
     d, capacity, extra, phases, seed = stream
     capacity = 2 + capacity % (d + 7)
     pushes, values = generated_stream(d, phases, seed)
-    # Small row blocks, so the blocked update and residual cross block
+    # Small row blocks, so the blocked update and half squares cross block
     # edges at these sizes as they do at d in the hundreds.
     with mock.patch.object(regression, "_BLOCK_ELEMENTS", d + 2 + extra):
         win = EvaluationWindow(capacity, d)
@@ -862,7 +912,7 @@ class TestFitQuadratic:
         fit = fit_quadratic(win)
         assert fit.g[0] == pytest.approx(6.0 * xs[-1] + 1.0, abs=1e-7)
         assert fit.h[0] == pytest.approx(6.0, abs=1e-7)
-        assert fit.residual_norm <= 1e-7
+        assert residual_norm(fit, *assemble_quadratic_system(win)) <= 1e-7
 
     def test_affine_gives_zero_curvature(self):
         rng = make_rng(41)
@@ -882,7 +932,7 @@ class TestFitQuadratic:
         np.testing.assert_allclose(fit.g, 0.0, atol=1e-12)
         np.testing.assert_allclose(fit.h, 0.0, atol=1e-12)
         assert fit.c == pytest.approx(0.0, abs=1e-12)
-        assert fit.residual_norm <= 1e-12
+        assert residual_norm(fit, *assemble_quadratic_system(win)) <= 1e-12
 
 
 def test_condition_estimate_order_of_magnitude():
