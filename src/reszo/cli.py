@@ -46,8 +46,13 @@ def _write_csv(out_dir, name: str, header: str, lines) -> None:
 
 
 def _load_config(path: str) -> ExperimentConfig:
-    with open(path) as fh:
-        data = json.load(fh)
+    """The config at ``path``; a path that cannot be read (missing, a
+    directory, under a regular file) is a config error that names it."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc
     return experiment_from_dict(data)
 
 
@@ -238,7 +243,7 @@ def main(argv=None) -> int:
     except ExportError as exc:
         print(f"export failed: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,6 +29,7 @@ from .optimizers import (
     RunTrace,
     run_optimizer,
 )
+from .regression import numeric_environment
 
 
 @dataclass
@@ -384,7 +385,13 @@ def experiment_from_dict(data: dict) -> ExperimentConfig:
 
 
 def write_manifest(exp: ExperimentConfig, path, version: str) -> None:
-    payload = {"version": version, "config": experiment_to_dict(exp)}
+    """The config, reszo's version and the numeric environment, as JSON.
+    The manifest is itself a config: loading reads only ``config``."""
+    payload = {
+        "version": version,
+        "config": experiment_to_dict(exp),
+        "numeric": numeric_environment(),
+    }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

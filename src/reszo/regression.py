@@ -39,15 +39,29 @@ pseudoinverse solve; rank deficiency never raises out of
 Every fit the moment cache does not serve assembles its design, and its
 row-space solve writes X X^T, into buffers the window keeps.  At d of
 about 100 a fit costs little more than its LAPACK and BLAS calls, so
-the per-call wrappers count: both routes call numpy's LAPACK gufuncs
-(``cholesky_lo``, ``solve1``, the kernels behind ``np.linalg.cholesky``
-and ``np.linalg.solve``, whose bits they give) directly, and take norms
-as ``math.sqrt(v @ v)``, which is what ``np.linalg.norm`` computes on
-1-D and C-contiguous inputs.
+the per-call wrappers count.  Where numpy's wheel has loaded its
+bundled OpenBLAS (see ``_openblas``), the cached fit calls it through
+``ctypes`` on window buffers: ``dpotrf`` factors a copy of the bordered
+system in place in the factor buffer, and ``dtrsv`` solves each 64-row
+diagonal block of the back substitution in place in a window-kept
+solution vector.  Both give the bits numpy's gufuncs give, since
+numpy's ``np.linalg.cholesky`` runs the same ``dpotrf``, and its LU
+solve of a nonsingular triangle is that triangle's ``dtrsv``.  Elsewhere
+numpy's LAPACK gufuncs serve it (``cholesky_lo`` and ``solve1``, the
+kernels behind ``np.linalg.cholesky`` and ``np.linalg.solve``), called
+directly; ``solve1`` also serves every row-space solve.  In a hot loop
+at one BLAS thread (2-core x86-64, numpy 2.4.6, OpenBLAS 0.3.31) the
+direct calls took the back substitution from 46 to 13 us at n = 101 and
+from 614 to 264 us at n = 901, and the factorization from 44 to 38 us
+at n = 102 and from 11.3 to 9.7 ms at n = 902, where the gufunc also
+mallocs and fills its own column-major copy.  Norms are
+taken as ``math.sqrt(v @ v)``, which is what ``np.linalg.norm``
+computes on 1-D and C-contiguous inputs.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -55,6 +69,7 @@ from typing import Optional
 import numpy as np
 from numpy.linalg import _umath_linalg
 
+from . import _openblas
 from .core import NotEnoughSamplesError, SingularUpdateError, _all_finite
 
 REGRESSION_MODES = ("intercept_centered", "difference_no_intercept")
@@ -72,11 +87,15 @@ _RECENTER_LIMIT = 100.0
 # update and the quadratic design's half squares pass, so neither
 # allocates a d x d or m x d temporary.
 _BLOCK_ELEMENTS = 32768
-# Diagonal block size of the blocked triangular solve.  Each block is an
-# LU solve of O(block^3), so 32-row blocks are faster (37 against 44 us
-# at n = 101, 463 against 572 us at n = 901, one BLAS thread), but they
-# round differently: one zero-perturbation l_reszo trial of the grid
-# test then stops diverging.  64 keeps every output bit.
+# Diagonal block size of the blocked triangular solve.  One GEMV folds
+# the solved tail into each block's right-hand side, and each block is
+# then solved on its own: by dtrsv, or by solve1, whose LU leaves a
+# nonsingular triangle unchanged and whose one-column solve is then that
+# same dtrsv, so both routes give the same bits.  The block size fixes
+# the rounding: an unblocked dtrsv, or 32-row blocks, round differently
+# (with 32, one zero-perturbation l_reszo trial of the grid test stops
+# diverging), and 64 keeps every output bit.  32-row solve1 blocks took
+# 37 against 44 us at n = 101; dtrsv on 64-row blocks takes 13.
 _SUBSTITUTION_BLOCK = 64
 # A relative pivot L_ii^2 / G_ii is the squared sine of the angle between
 # column i and the columns before it.  Below this the Gram is numerically
@@ -93,6 +112,9 @@ _cholesky_lo = _umath_linalg.cholesky_lo
 # np.linalg.solve wraps.  A singular matrix fills the output with NaN and
 # sets numpy's invalid flag instead of raising LinAlgError.
 _solve1 = _umath_linalg.solve1
+# numpy's loaded OpenBLAS, which serves the cached fit in place; None
+# where numpy has none, and then the two gufuncs above serve it.
+_lapack = _openblas.LIBRARY
 
 
 @dataclass
@@ -157,11 +179,13 @@ class EvaluationWindow:
     top-left d x d block holds the second moments; the rank-3 update's
     (3, d) and (3, d+2) operands, which each push fills in place; the
     linear fit's (k+1)x(k+1) Cholesky factor, which LAPACK writes
-    column-major so the buffer holds the upper factor L^T row-major; a
-    row-block scratch (one block whenever m * (d + 2) fits it); and, for
-    the fits the moment cache does not serve, the design ((m - 1, w) when
-    m <= w + 1, else (m, w + 1), w being d or 2d), the contiguous (m, d)
-    differences it is copied from, and the row-space Gram X X^T.
+    column-major so the buffer holds the upper factor L^T row-major, and
+    on the direct OpenBLAS route the substitution's block scratch and
+    solution vector (``_InPlaceKernels``); a row-block scratch (one
+    block whenever m * (d + 2) fits it); and, for the fits the moment
+    cache does not serve, the design ((m - 1, w) when m <= w + 1, else
+    (m, w + 1), w being d or 2d), the contiguous (m, d) differences it is
+    copied from, and the row-space Gram X X^T.
     Each is allocated on first use and reused while its shape stays the
     same; no fit returns a view of them.  The LU solve's own copy of
     X X^T is allocated inside numpy's gufunc.
@@ -183,6 +207,7 @@ class EvaluationWindow:
         self._system: Optional[np.ndarray] = None
         self._operands: Optional[tuple] = None
         self._upper: Optional[np.ndarray] = None
+        self._kernels: Optional[_InPlaceKernels] = None
         self._scratch: Optional[np.ndarray] = None
         self._design: Optional[np.ndarray] = None
         self._deltas: Optional[np.ndarray] = None
@@ -527,17 +552,84 @@ def estimate_condition_number(gram: np.ndarray, steps: int = 20) -> float:
 # -- fits ------------------------------------------------------------------
 
 
-def _back_substitute(upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+class _InPlaceKernels:
+    """The cached fit's OpenBLAS calls on one factor buffer, in place.
+
+    ``upper`` is the window's (n, n) row-major factor buffer, whose
+    transpose is the column-major array ``dpotrf`` factors.  The
+    substitution copies each diagonal block into a column-major scratch
+    and solves it with ``dtrsv`` in a kept solution vector of n entries.
+    Every data pointer is read once, here (a ``.ctypes.data`` costs about
+    1 us), and the ILP64 integers are passed by reference from one kept
+    array: the order, the block order, the block's leading dimension, the
+    unit stride and ``info``.
+    """
+
+    __slots__ = (
+        "upper", "_upper_ptr", "_block", "_block_ptr", "_sol", "_sol_ptr", "_ints", "_int_ptr"
+    )
+
+    def __init__(self, upper: np.ndarray):
+        n = upper.shape[0]
+        block = _SUBSTITUTION_BLOCK
+        self.upper = upper
+        self._upper_ptr = upper.ctypes.data
+        self._block = np.empty((block, block), order="F")
+        self._block_ptr = self._block.ctypes.data
+        self._sol = np.empty(n)
+        self._sol_ptr = self._sol.ctypes.data
+        self._ints = (ctypes.c_int64 * 5)(n, 0, block, 1, 0)
+        self._int_ptr = ctypes.addressof(self._ints)
+
+    def factorize(self, system: np.ndarray) -> bool:
+        """Factor ``system`` (n, n) into ``upper``; False, with ``upper``
+        filled with NaN, when it is not positive definite.  ``upper``'s
+        strict lower triangle keeps a copy of the system, which nothing
+        reads."""
+        upper, ints, ptr = self.upper, self._ints, self._int_ptr
+        np.copyto(upper.T, system)
+        ints[4] = 0
+        _lapack.dpotrf(_lapack.L, ptr, self._upper_ptr, ptr, ptr + 32, 1)
+        if ints[4]:
+            upper.fill(np.nan)  # as numpy's gufunc leaves a failed factor
+            return False
+        return True
+
+    def substitute(self, upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve ``upper @ x = rhs`` for upper-triangular ``upper`` of at
+        most n rows; ``x`` is a new array."""
+        n = rhs.shape[0]
+        block, ints, ptr = _SUBSTITUTION_BLOCK, self._ints, self._int_ptr
+        sol = self._sol[:n]
+        np.copyto(sol, rhs)
+        stop = n
+        for start in range((n - 1) // block * block, -1, -block):
+            if stop < n:
+                sol[start:stop] -= upper[start:stop, stop:] @ sol[stop:]
+            np.copyto(self._block[: stop - start, : stop - start], upper[start:stop, start:stop])
+            ints[1] = stop - start
+            _lapack.dtrsv(
+                _lapack.U, _lapack.N, _lapack.N, ptr + 8, self._block_ptr, ptr + 16,
+                self._sol_ptr + 8 * start, ptr + 24, 1, 1, 1,
+            )
+            stop = start
+        return sol.copy()
+
+
+def _back_substitute(upper: np.ndarray, rhs: np.ndarray, kernels=None) -> np.ndarray:
     """Solve ``upper @ x = rhs`` for upper-triangular ``upper`` in O(n^2).
 
-    numpy has no triangular solve, so the system is cut into diagonal
-    blocks of ``_SUBSTITUTION_BLOCK`` rows solved bottom-up: one
-    GEMV folds the solved tail into each block's right-hand side, and
-    the ``solve1`` gufunc, called directly, finishes the small
-    triangular block in place (its partial pivoting never swaps rows of
-    a nonsingular triangle).  A zero on the diagonal gives NaN, with
-    numpy's invalid warning, where ``np.linalg.solve`` would raise.
+    The system is cut into diagonal blocks of ``_SUBSTITUTION_BLOCK``
+    rows solved bottom-up: one GEMV folds the solved tail into each
+    block's right-hand side, and the small triangular block is solved by
+    OpenBLAS's ``dtrsv`` in ``kernels``' buffers (new ones when None)
+    or, where numpy has not loaded OpenBLAS, by the ``solve1`` gufunc
+    called directly (its partial pivoting never swaps rows of a
+    nonsingular triangle).  Both give the same bits.  A zero on the
+    diagonal gives inf or NaN where ``np.linalg.solve`` would raise.
     """
+    if _lapack is not None:
+        return (kernels or _InPlaceKernels(upper)).substitute(upper, rhs)
     n = rhs.shape[0]
     x = np.empty(n)
     block = _SUBSTITUTION_BLOCK
@@ -586,15 +678,23 @@ def _fit_linear_cached_moments(window: EvaluationWindow, intercept: bool):
     system[:k, k] = rhs  # symmetric, whichever triangle cholesky reads
     system[k, k] = 2.0 * float(offsets @ offsets) + 1.0
     # Column-major L is row-major L^T: the substitution reads row blocks.
-    with np.errstate(invalid="ignore"):
-        _cholesky_lo(system, out=upper.T)
-    if math.isnan(upper[k, k]):
-        return None  # not positive definite
+    if _lapack is None:
+        kernels = None
+        with np.errstate(invalid="ignore"):
+            _cholesky_lo(system, out=upper.T)
+        if math.isnan(upper[k, k]):
+            return None  # not positive definite
+    else:
+        kernels = window._kernels
+        if kernels is None or kernels.upper is not upper:
+            kernels = window._kernels = _InPlaceKernels(upper)
+        if not kernels.factorize(system):
+            return None  # not positive definite
     pivots = upper.diagonal()[:k] ** 2
     pivots /= system.diagonal()[:k]
     if pivots.min() < _RELATIVE_PIVOT_TOL:
         return None
-    sol = _back_substitute(upper[:k, :k], upper[:k, k])
+    sol = _back_substitute(upper[:k, :k], upper[:k, k], kernels)
     if not _all_finite(sol):
         return None
     g, c = (sol[:d], float(sol[d])) if intercept else (sol, None)
@@ -625,6 +725,20 @@ def _fit_design(window: EvaluationWindow, quadratic: bool, intercept: bool) -> S
     c = float(coeffs[width]) if full else (0.0 if intercept else None)
     h = coeffs[d:width] if quadratic else None
     return SurrogateFit(coeffs[:d], h, c, "pseudoinverse")
+
+
+def numeric_environment() -> dict:
+    """The numbers' numeric environment: numpy's version, the LAPACK its
+    build record names, the OpenBLAS thread count (None where numpy has
+    not loaded OpenBLAS) and the kernels serving the cached linear fit,
+    ``"lapack"`` (direct calls) or ``"gufunc"`` (numpy's gufuncs)."""
+    library = _openblas.LIBRARY
+    return {
+        "numpy": np.__version__,
+        "lapack": _openblas.lapack_name(),
+        "blas_threads": None if library is None else library.threads(),
+        "fit_kernels": "gufunc" if _lapack is None else "lapack",
+    }
 
 
 def fit_linear(window: EvaluationWindow, mode: str = "intercept_centered") -> SurrogateFit:

@@ -135,6 +135,20 @@ def test_missing_config_is_config_error(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize("where", ["directory", "under_a_file"])
+def test_unreadable_config_path_is_config_error(tmp_path, capsys, where):
+    # A directory, or a path below a regular file, is reported as a config
+    # error that names the path, not as a traceback.
+    if where == "directory":
+        path = tmp_path
+    else:
+        path = write_config(tmp_path / "cfg.json") / "inner.json"
+    for command in (["run", "--config", str(path)], ["compare", "--configs", str(path)]):
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(path) in err, err
+
+
 def test_invalid_json_is_config_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -247,6 +247,35 @@ class TestExport:
         np.testing.assert_array_equal(curve.mean_gap, again.mean_gap)
         np.testing.assert_array_equal(curve.queries, again.queries)
 
+    @pytest.mark.parametrize("kernels", ["lapack", "gufunc"])
+    def test_manifest_records_numeric_environment(self, tmp_path, monkeypatch, kernels):
+        # The manifest says which numpy, LAPACK, OpenBLAS thread count and
+        # fit kernels produced the numbers; a config read from it ignores
+        # them, so a rerun from it gives the same curve either way.
+        from reszo import _openblas, regression
+
+        if kernels == "gufunc":
+            monkeypatch.setattr(regression, "_lapack", None)
+        elif regression._lapack is None:
+            pytest.skip("numpy has not loaded a bundled ILP64 OpenBLAS")
+        exp = small_experiment()
+        results, curve = run_experiment(exp)
+        paths = export_results(curve, results, tmp_path / "out", exp=exp, version="t")
+        manifest = json.loads(paths["manifest"].read_text())
+        numeric = manifest["numeric"]
+        assert set(numeric) == {"numpy", "lapack", "blas_threads", "fit_kernels"}
+        assert numeric["numpy"] == np.__version__
+        build = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+        assert numeric["lapack"] == build["name"]
+        assert numeric["fit_kernels"] == kernels
+        if _openblas.LIBRARY is None:
+            assert numeric["blas_threads"] is None
+        else:
+            assert isinstance(numeric["blas_threads"], int) and numeric["blas_threads"] >= 1
+        assert experiment_from_dict(manifest) == exp
+        _, again = run_experiment(experiment_from_dict(manifest))
+        np.testing.assert_array_equal(curve.mean_gap, again.mean_gap)
+
     def test_stride_subsamples_rows(self, tmp_path):
         results, curve = run_experiment(small_experiment())
         export_results(curve, results, tmp_path / "a")

@@ -1,3 +1,5 @@
+import contextlib
+import ctypes
 import math
 import tracemalloc
 from unittest import mock
@@ -19,8 +21,21 @@ from reszo import (
     rank1_swap_inverse,
     solve_least_squares,
 )
-from reszo import regression
+from reszo import _openblas, regression
 from reszo.regression import REGRESSION_MODES, _back_substitute, estimate_condition_number
+
+NO_OPENBLAS = "numpy has not loaded a bundled ILP64 OpenBLAS, so only the gufunc route exists"
+
+
+@contextlib.contextmanager
+def cached_route(name):
+    """Serve cached linear fits through numpy's gufuncs (``"gufunc"``) or
+    through direct calls into numpy's OpenBLAS (``"lapack"``); the latter
+    skips the test where numpy has not loaded one."""
+    if name == "lapack" and _openblas.LIBRARY is None:
+        pytest.skip(NO_OPENBLAS)
+    with mock.patch.object(regression, "_lapack", None if name == "gufunc" else _openblas.LIBRARY):
+        yield
 
 
 def window_from(points, values, capacity=None, dim=None):
@@ -433,14 +448,19 @@ def test_cached_route_matches_lstsq_on_adversarial_windows():
 @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 63, 64, 65, 101, 129, 901, 902])
 def test_back_substitute_matches_solve(n):
     # Sizes on both sides of the 64-row block boundaries, blocks of one to
-    # 33 rows, and the bordered sizes of the d=100 and d=900 fits.
+    # 33 rows, and the bordered sizes of the d=100 and d=900 fits.  Both
+    # routes agree with np.linalg.solve, and with each other bit for bit.
     rng = make_rng(80 + n)
     upper = np.triu(rng.standard_normal((n, n))) / np.sqrt(n)
     upper[np.diag_indices(n)] = 1.0 + rng.random(n)
     rhs = rng.standard_normal(n)
     ref = np.linalg.solve(upper, rhs)
-    x = _back_substitute(upper, rhs)
-    assert np.max(np.abs(x - ref)) <= 1e-10 * (1.0 + np.max(np.abs(ref)))
+    solved = {}
+    for route in ("gufunc", "lapack"):
+        with cached_route(route):
+            x = solved[route] = _back_substitute(upper, rhs)
+        assert np.max(np.abs(x - ref)) <= 1e-10 * (1.0 + np.max(np.abs(ref))), route
+        assert np.array_equal(x.view(np.uint64), solved["gufunc"].view(np.uint64)), route
 
 
 @pytest.mark.parametrize("shape", [(1,), (7,), (101,), (1000,), (3, 4), (110, 110), (33, 201)])
@@ -465,11 +485,32 @@ def full_window(d, m, seed):
     return win
 
 
+class CountingOpenBLAS:
+    """Forwards to numpy's OpenBLAS, recording the order of every dpotrf
+    and dtrsv call."""
+
+    def __init__(self, factored, solved):
+        lib = _openblas.LIBRARY
+        self.L, self.U, self.N = lib.L, lib.U, lib.N
+        self._lib, self._factored, self._solved = lib, factored, solved
+
+    def dpotrf(self, uplo, n, *rest):
+        self._factored.append(ctypes.c_int64.from_address(n).value)
+        self._lib.dpotrf(uplo, n, *rest)
+
+    def dtrsv(self, uplo, trans, diag, n, *rest):
+        self._solved.append(ctypes.c_int64.from_address(n).value)
+        self._lib.dtrsv(uplo, trans, diag, n, *rest)
+
+
 def test_cached_fit_factorizes_once(monkeypatch):
-    # One Cholesky factorization per fit, through the module's gufunc and
-    # never through np.linalg.cholesky, and only diagonal blocks of the
-    # triangular solve ever reach the module's solve1 gufunc.
-    win = full_window(130, 140, 81)
+    # One Cholesky factorization of the (k+1)-square bordered system per
+    # fit, never through np.linalg.cholesky, and only diagonal blocks of
+    # the triangular solve, together its k rows, reach a triangular
+    # kernel: the cholesky_lo and solve1 gufuncs on one route, OpenBLAS's
+    # dpotrf and dtrsv, with neither gufunc, on the other.
+    d = 130
+    win = full_window(d, 140, 81)
     cholesky_lo, solve1 = regression._cholesky_lo, regression._solve1
     factored, solved = [], []
 
@@ -478,41 +519,141 @@ def test_cached_fit_factorizes_once(monkeypatch):
         # contiguous columns: the whole buffer with an intercept, its
         # leading (d+1)-square block in difference mode.
         assert a.strides[0] == a.itemsize, a.strides
-        factored.append(a.shape)
+        factored.append(a.shape[0])
         return cholesky_lo(a, out=out)
-
-    def refused_cholesky(a):
-        raise AssertionError("np.linalg.cholesky called on the cached route")
 
     def sized_solve1(a, b, out=None):
         solved.append(a.shape[0])
         return solve1(a, b, out=out)
 
-    monkeypatch.setattr(regression, "_cholesky_lo", counting_cholesky_lo)
-    monkeypatch.setattr(regression, "_solve1", sized_solve1)
-    monkeypatch.setattr(np.linalg, "cholesky", refused_cholesky)
-    for mode in REGRESSION_MODES:
-        factored.clear()
-        solved.clear()
-        fit = fit_linear(win, mode)
-        assert fit.solver_path == "cached_moments"
-        assert win._system.flags.f_contiguous
-        assert len(factored) == 1, mode
-        assert solved and max(solved) <= regression._SUBSTITUTION_BLOCK, mode
+    def refused(*args, **kwargs):
+        raise AssertionError("the cached fit called a kernel its route must not use")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refused)
+    for route in ("gufunc", "lapack"):
+        with contextlib.ExitStack() as stack:
+            stack.enter_context(cached_route(route))
+            if route == "gufunc":
+                kernels = {"_cholesky_lo": counting_cholesky_lo, "_solve1": sized_solve1}
+            else:
+                kernels = {
+                    "_lapack": CountingOpenBLAS(factored, solved),
+                    "_cholesky_lo": refused,
+                    "_solve1": refused,
+                }
+            for name, kernel in kernels.items():
+                stack.enter_context(mock.patch.object(regression, name, kernel))
+            for mode, k in (("intercept_centered", d + 1), ("difference_no_intercept", d)):
+                factored.clear()
+                solved.clear()
+                fit = fit_linear(win, mode)
+                assert fit.solver_path == "cached_moments"
+                assert win._system.flags.f_contiguous
+                assert factored == [k + 1], (route, mode)
+                assert max(solved) <= regression._SUBSTITUTION_BLOCK, (route, mode)
+                assert sum(solved) == k, (route, mode)
 
 
 @pytest.mark.filterwarnings("error")
 def test_cached_factor_matches_numpy_cholesky_bitwise():
-    # The private gufunc must keep np.linalg.cholesky's semantics: the
-    # window's row-major buffer holds exactly the transposed factor of
-    # the (k+1)x(k+1) block of the bordered system the fit factored.
+    # Both routes keep np.linalg.cholesky's factor: the upper triangle of
+    # the window's row-major buffer holds exactly the transposed factor of
+    # the (k+1)x(k+1) block of the bordered system the fit factored.  The
+    # gufunc route zeroes the strict lower triangle, which its solve1
+    # reads.  The direct route leaves it unzeroed and never reads it: NaN
+    # written there before the substitution leaves g and c bit-identical.
     d = 130
     win = full_window(d, 140, 84)
-    for mode, k in (("intercept_centered", d + 1), ("difference_no_intercept", d)):
-        assert fit_linear(win, mode).solver_path == "cached_moments"
-        ref = np.linalg.cholesky(win._system[: k + 1, : k + 1]).T
-        assert win._upper.shape == ref.shape, mode
-        assert np.array_equal(win._upper.view(np.uint64), ref.view(np.uint64)), mode
+    substitute = regression._back_substitute
+
+    def poisoned(upper, rhs, kernels=None):
+        full = win._upper
+        full[np.tril_indices(full.shape[0], -1)] = np.nan
+        return substitute(upper, rhs, kernels)
+
+    for route in ("gufunc", "lapack"):
+        with cached_route(route):
+            for mode, k in (("intercept_centered", d + 1), ("difference_no_intercept", d)):
+                fit = fit_linear(win, mode)
+                assert fit.solver_path == "cached_moments"
+                ref = np.linalg.cholesky(win._system[: k + 1, : k + 1]).T
+                assert win._upper.shape == ref.shape, (route, mode)
+                upper_part = np.triu_indices(k + 1)
+                assert np.array_equal(
+                    win._upper[upper_part].view(np.uint64), ref[upper_part].view(np.uint64)
+                ), (route, mode)
+                if route == "gufunc":
+                    assert not np.tril(win._upper, -1).any(), mode
+                    continue
+                with mock.patch.object(regression, "_back_substitute", poisoned):
+                    again = fit_linear(win, mode)
+                assert np.isnan(win._upper[k, 0])
+                assert again.solver_path == "cached_moments"
+                assert np.array_equal(again.g.view(np.uint64), fit.g.view(np.uint64)), mode
+                assert (again.c is None) == (fit.c is None)
+                if fit.c is not None:
+                    assert np.float64(again.c).view(np.uint64) == np.float64(fit.c).view(np.uint64)
+
+
+def test_openblas_lookup_follows_numpy_build_record(monkeypatch):
+    # The library is used only where numpy's build record names its bundled
+    # ILP64 OpenBLAS, never where it names another LAPACK or a 32-bit
+    # integer build: the fits then keep to numpy's gufuncs.
+    record = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    if _openblas.LIBRARY is not None:
+        assert record["name"] == "scipy-openblas"
+        assert "USE64BITINT" in record["openblas configuration"]
+        assert regression._lapack is _openblas.LIBRARY
+        assert _openblas.LIBRARY.threads() >= 1
+    others = ({"name": "openblas"}, {"name": "scipy-openblas", "openblas configuration": ""}, {})
+    for other in others:
+        monkeypatch.setattr(_openblas, "_lapack_record", lambda: other)
+        assert _openblas._load() is None
+
+
+def parity_windows(d):
+    """Full adversarial windows at dimension d, keyed by name: a cluster
+    far from the origin, a tiny spread, every point pushed twice, and the
+    smallest capacity with a cached route, m = d + 1.  Each yields the
+    window after its last push and after one more."""
+    rng = make_rng(90 + d)
+    a = rng.standard_normal(d)
+    m = d + 10
+    center = rng.standard_normal(d)
+    streams = {
+        "far_cluster": (m, 1e6 / np.sqrt(d) + rng.standard_normal((m + 6, d))),
+        "tiny_spread": (m, center + 1e-7 * rng.standard_normal((m + 6, d))),
+        "duplicates": (m, np.repeat(rng.standard_normal((m // 2 + 3, d)), 2, axis=0)),
+        "m_eq_d_plus_1": (d + 1, rng.standard_normal((d + 7, d))),
+    }
+    for name, (capacity, points) in streams.items():
+        win = EvaluationWindow(capacity, d)
+        for i, p in enumerate(points):
+            win.push(p, float(a @ p + 0.1 * np.sin(p).sum()))
+            if i >= len(points) - 2:
+                yield name, win
+
+
+@pytest.mark.parametrize("d", [5, 100, 130, 900])
+def test_cached_routes_agree_bitwise_on_adversarial_windows(d):
+    # The direct OpenBLAS calls and numpy's gufuncs give the same fit, bit
+    # for bit, in both modes, wherever the window sits: g, c and the solver
+    # path, including windows whose factorization or pivot gate fails.
+    paths = set()
+    for name, win in parity_windows(d):
+        for mode in REGRESSION_MODES:
+            fits = {}
+            for route in ("gufunc", "lapack"):
+                with cached_route(route):
+                    fits[route] = fit_linear(win, mode)
+            ours, ref = fits["lapack"], fits["gufunc"]
+            paths.add(ref.solver_path)
+            assert ours.solver_path == ref.solver_path, (name, mode)
+            assert np.array_equal(ours.g.view(np.uint64), ref.g.view(np.uint64)), (name, mode)
+            assert (ours.c is None) == (ref.c is None), (name, mode)
+            if ref.c is not None:
+                assert np.float64(ours.c).view(np.uint64) == np.float64(ref.c).view(np.uint64)
+    assert "cached_moments" in paths
 
 
 @pytest.mark.filterwarnings("error")
@@ -637,11 +778,11 @@ def test_steady_push_and_fit_allocate_no_square_temporaries(mode):
 
 
 def test_steady_fits_skip_numpy_linalg_wrappers(monkeypatch):
-    # A steady cached linear fit and a healthy quadratic fit call the
-    # LAPACK gufuncs directly and take norms as sqrt(v @ v); the quadratic
-    # fit's coefficients keep the bits of np.linalg.solve on X X^T of the
-    # reduced design (no newest row, no ones column), and its intercept
-    # is exactly 0.
+    # A steady cached linear fit and a healthy quadratic fit call LAPACK
+    # without numpy.linalg's wrappers and take norms as sqrt(v @ v); the
+    # quadratic fit's coefficients keep the bits of np.linalg.solve on
+    # X X^T of the reduced design (no newest row, no ones column), and its
+    # intercept is exactly 0.
     d, m = 100, 110
     rng = make_rng(88)
     win = full_window(d, m, 88)
