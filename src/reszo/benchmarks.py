@@ -48,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BlackBoxObjective, make_rng
+from .core import BlackBoxObjective, _require_finite_fields, make_rng
 
 # Column-panel width of a ridge query.  Panels of 128 columns skip the
 # zero upper triangle of F: at d=900 a query took 234 against 315 us
@@ -78,6 +78,7 @@ class BenchmarkSpec:
     def __post_init__(self):
         if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem {self.problem!r}; expected one of {PROBLEMS}")
+        _require_finite_fields(self)
         if self.d < 1:
             raise ValueError("d must be >= 1")
         if self.problem == "rosenbrock" and self.d < 2:

@@ -243,7 +243,7 @@ def main(argv=None) -> int:
     except ExportError as exc:
         print(f"export failed: {exc}", file=sys.stderr)
         return 1
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except ValueError as exc:  # json.JSONDecodeError included
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,6 +7,7 @@ arrays; there is no wrapper type and no configurable precision.
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -21,6 +22,15 @@ def _all_finite(a: np.ndarray) -> bool:
     overflows or is NaN is checked entry by entry.  ``np.vdot``, unlike
     ``@``, does not warn when the sum overflows."""
     return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
+
+
+def _require_finite_fields(config) -> None:
+    """Raise ValueError on the first field of the dataclass ``config``
+    holding a NaN or an infinity, which a range check can let through."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 class DimensionMismatchError(ValueError):

@@ -21,7 +21,13 @@ from typing import List, Optional, Sequence, get_args, get_type_hints
 import numpy as np
 
 from .benchmarks import BenchmarkSpec, initial_point, make_objective
-from .core import BlackBoxObjective, DivergenceError, ExperimentFailedError, make_rng
+from .core import (
+    BlackBoxObjective,
+    DivergenceError,
+    ExperimentFailedError,
+    _require_finite_fields,
+    make_rng,
+)
 from .diagnostics import DiagnosticsCollector
 from .optimizers import (
     REGRESSION_METHODS,
@@ -44,6 +50,7 @@ class ExperimentConfig:
     stride: int = 1
 
     def __post_init__(self):
+        _require_finite_fields(self)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not 0.0 < self.confidence < 1.0:

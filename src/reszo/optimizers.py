@@ -24,6 +24,7 @@ from .core import (
     BlackBoxObjective,
     DivergenceError,
     EvaluationFailureError,
+    _require_finite_fields,
     make_rng,
 )
 from .estimators import rszo_estimate, szo_estimate, tzo_estimate
@@ -72,6 +73,7 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        _require_finite_fields(self)
         if self.eta <= 0:
             raise ValueError("eta must be positive")
         if self.iterations < 1:

@@ -147,9 +147,7 @@ class _MomentCache:
     to or cancelled from ``m_mat``: the scale its rounding error follows.
     """
 
-    __slots__ = (
-        "c_ref", "f_ref", "m_mat", "s_vec", "p_vec", "f_sum", "mass", "updates"
-    )
+    __slots__ = ("c_ref", "f_ref", "m_mat", "s_vec", "p_vec", "f_sum", "mass")
 
     def __init__(self, c_ref, f_ref, m_mat, s_vec, p_vec, f_sum):
         self.c_ref = c_ref
@@ -159,7 +157,6 @@ class _MomentCache:
         self.p_vec = p_vec
         self.f_sum = f_sum
         self.mass = float(m_mat.trace())
-        self.updates = 0
 
 
 class EvaluationWindow:
@@ -168,10 +165,11 @@ class EvaluationWindow:
     Insertion past capacity drops the oldest pair and keeps the moment
     sums, centered at the newest point, in sync: the second moments take
     one in-place symmetric rank-3 update per insertion that drops the
-    oldest point, adds the new one and moves the center to it.  The sums
-    are rebuilt from scratch every ``max(d, 64)`` updates, and when the
-    terms the updates cancelled outweigh the Gram, to bound
-    floating-point drift.
+    oldest point, adds the new one and moves the center to it.  Its
+    rounding error follows the size of the terms the updates added and
+    cancelled, so once those outweigh the Gram's trace by more than
+    ``_RECENTER_LIMIT`` the push drops the sums, and the next fit
+    rebuilds them from the window.
 
     The window also keeps its fits' buffers, so neither a push nor a fit
     allocates a d x d, m x d or m x m temporary: the (d+2)x(d+2)
@@ -179,9 +177,9 @@ class EvaluationWindow:
     top-left d x d block holds the second moments; the rank-3 update's
     (3, d) and (3, d+2) operands, which each push fills in place; the
     linear fit's (k+1)x(k+1) Cholesky factor, which LAPACK writes
-    column-major so the buffer holds the upper factor L^T row-major, and
-    on the direct OpenBLAS route the substitution's block scratch and
-    solution vector (``_InPlaceKernels``); a row-block scratch (one
+    column-major so the buffer holds the upper factor L^T row-major, with
+    the substitution's solution vector and, on the direct OpenBLAS route,
+    its block scratch (``_FitKernels``); a row-block scratch (one
     block whenever m * (d + 2) fits it); and, for the fits the moment
     cache does not serve, the design ((m - 1, w) when m <= w + 1, else
     (m, w + 1), w being d or 2d), the contiguous (m, d) differences it is
@@ -202,12 +200,11 @@ class EvaluationWindow:
         self._vals = np.zeros(capacity)
         self._start = 0
         self._count = 0
-        self._rebuild_every = max(dim, 64)
         self._mom: Optional[_MomentCache] = None
         self._system: Optional[np.ndarray] = None
         self._operands: Optional[tuple] = None
         self._upper: Optional[np.ndarray] = None
-        self._kernels: Optional[_InPlaceKernels] = None
+        self._kernels: Optional[_FitKernels] = None
         self._scratch: Optional[np.ndarray] = None
         self._design: Optional[np.ndarray] = None
         self._deltas: Optional[np.ndarray] = None
@@ -292,9 +289,6 @@ class EvaluationWindow:
         mom = self._mom
         if mom is None:
             return
-        if mom.updates + 1 >= self._rebuild_every:
-            self._mom = None  # rebuilt from the window at the next fit
-            return
         m, d = self.capacity, self.dim
         # Window buffers: rows (w, u, -dd) of left_t, (u, w, dd) of right.
         left_t, right = self._operands
@@ -329,7 +323,8 @@ class EvaluationWindow:
         mom.mass += float(dd @ dd) + 2.0 * math.sqrt(float(u_vec @ u_vec) * float(w_vec @ w_vec))
         mom.c_ref[:] = add_pt
         mom.f_ref = add_val
-        mom.updates += 1
+        if mom.mass > _RECENTER_LIMIT * float(mom.m_mat.trace()):
+            self._mom = None  # rebuilt from the window at the next fit
 
     def inverse_cache(self):
         """Always None: no fit route keeps a Gram-inverse cache.
@@ -340,19 +335,15 @@ class EvaluationWindow:
         return None
 
     def moment_cache(self) -> Optional[_MomentCache]:
-        """Window sums centered at the newest point, built lazily on a
-        full window.
-
-        The sums are rebuilt from the window when the terms the updates
-        added and cancelled outweigh the Gram's trace by more than
-        ``_RECENTER_LIMIT``, as they do once the window shrinks far
+        """Window sums centered at the newest point, built from the window
+        on a full window that has none: at the first fit, and at the fit
+        after a push whose updates outweighed the Gram (see
+        ``EvaluationWindow``), as they do once the window shrinks far
         below the scale it spanned.
         """
         if not self.is_full:
             return None
         mom = self._mom
-        if mom is not None and mom.mass > _RECENTER_LIMIT * float(mom.m_mat.trace()):
-            mom = self._mom = None
         if mom is None:
             d = self.dim
             if self._system is None:
@@ -552,95 +543,87 @@ def estimate_condition_number(gram: np.ndarray, steps: int = 20) -> float:
 # -- fits ------------------------------------------------------------------
 
 
-class _InPlaceKernels:
-    """The cached fit's OpenBLAS calls on one factor buffer, in place.
+class _FitKernels:
+    """The cached fit's Cholesky factorization and blocked triangular
+    solve on one factor buffer: in place through ``lib``, numpy's loaded
+    OpenBLAS, or, where ``lib`` is None, through the ``cholesky_lo`` and
+    ``solve1`` gufuncs.
 
     ``upper`` is the window's (n, n) row-major factor buffer, whose
-    transpose is the column-major array ``dpotrf`` factors.  The
-    substitution copies each diagonal block into a column-major scratch
-    and solves it with ``dtrsv`` in a kept solution vector of n entries.
-    Every data pointer is read once, here (a ``.ctypes.data`` costs about
-    1 us), and the ILP64 integers are passed by reference from one kept
-    array: the order, the block order, the block's leading dimension, the
-    unit stride and ``info``.
+    transpose is the column-major array ``dpotrf`` factors.  ``dtrsv``
+    solves each diagonal block, copied into a column-major scratch, in
+    the kept solution vector of n entries.  Data pointers are read once,
+    here (a ``.ctypes.data`` costs about 1 us), and the ILP64 integers
+    are passed by reference from one kept array: the order, the block
+    order, the block's leading dimension, the unit stride and ``info``.
     """
 
-    __slots__ = (
-        "upper", "_upper_ptr", "_block", "_block_ptr", "_sol", "_sol_ptr", "_ints", "_int_ptr"
-    )
+    __slots__ = ("upper", "lib", "_sol", "_block", "_ints", "_ptrs")
 
-    def __init__(self, upper: np.ndarray):
+    def __init__(self, upper: np.ndarray, lib):
         n = upper.shape[0]
-        block = _SUBSTITUTION_BLOCK
-        self.upper = upper
-        self._upper_ptr = upper.ctypes.data
-        self._block = np.empty((block, block), order="F")
-        self._block_ptr = self._block.ctypes.data
+        self.upper, self.lib = upper, lib
         self._sol = np.empty(n)
-        self._sol_ptr = self._sol.ctypes.data
-        self._ints = (ctypes.c_int64 * 5)(n, 0, block, 1, 0)
-        self._int_ptr = ctypes.addressof(self._ints)
+        if lib is not None:
+            block = _SUBSTITUTION_BLOCK
+            self._block = np.empty((block, block), order="F")
+            self._ints = (ctypes.c_int64 * 5)(n, 0, block, 1, 0)
+            self._ptrs = (
+                upper.ctypes.data,
+                self._block.ctypes.data,
+                self._sol.ctypes.data,
+                ctypes.addressof(self._ints),
+            )
 
     def factorize(self, system: np.ndarray) -> bool:
         """Factor ``system`` (n, n) into ``upper``; False, with ``upper``
-        filled with NaN, when it is not positive definite.  ``upper``'s
-        strict lower triangle keeps a copy of the system, which nothing
-        reads."""
-        upper, ints, ptr = self.upper, self._ints, self._int_ptr
+        filled with NaN, when it is not positive definite.  On the
+        OpenBLAS route ``upper``'s strict lower triangle keeps a copy of
+        the system, which nothing reads; the gufunc zeroes it."""
+        upper, lib = self.upper, self.lib
+        if lib is None:
+            with np.errstate(invalid="ignore"):
+                _cholesky_lo(system, out=upper.T)
+            return not math.isnan(upper[-1, -1])
+        upper_ptr, _, _, ptr = self._ptrs
         np.copyto(upper.T, system)
-        ints[4] = 0
-        _lapack.dpotrf(_lapack.L, ptr, self._upper_ptr, ptr, ptr + 32, 1)
-        if ints[4]:
+        self._ints[4] = 0
+        lib.dpotrf(lib.L, ptr, upper_ptr, ptr, ptr + 32, 1)
+        if self._ints[4]:
             upper.fill(np.nan)  # as numpy's gufunc leaves a failed factor
             return False
         return True
 
     def substitute(self, upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve ``upper @ x = rhs`` for upper-triangular ``upper`` of at
-        most n rows; ``x`` is a new array."""
+        most n rows, bottom-up by ``_SUBSTITUTION_BLOCK``-row diagonal
+        blocks in the solution vector; ``x`` is a new array.  A zero on the
+        diagonal gives inf or NaN where ``np.linalg.solve`` would raise."""
         n = rhs.shape[0]
-        block, ints, ptr = _SUBSTITUTION_BLOCK, self._ints, self._int_ptr
+        block, lib = _SUBSTITUTION_BLOCK, self.lib
         sol = self._sol[:n]
         np.copyto(sol, rhs)
         stop = n
         for start in range((n - 1) // block * block, -1, -block):
             if stop < n:
                 sol[start:stop] -= upper[start:stop, stop:] @ sol[stop:]
-            np.copyto(self._block[: stop - start, : stop - start], upper[start:stop, start:stop])
-            ints[1] = stop - start
-            _lapack.dtrsv(
-                _lapack.U, _lapack.N, _lapack.N, ptr + 8, self._block_ptr, ptr + 16,
-                self._sol_ptr + 8 * start, ptr + 24, 1, 1, 1,
-            )
+            if lib is None:
+                _solve1(upper[start:stop, start:stop], sol[start:stop], out=sol[start:stop])
+            else:
+                _, block_ptr, sol_ptr, ptr = self._ptrs
+                np.copyto(self._block[: stop - start, : stop - start], upper[start:stop, start:stop])
+                self._ints[1] = stop - start
+                lib.dtrsv(
+                    lib.U, lib.N, lib.N, ptr + 8, block_ptr, ptr + 16,
+                    sol_ptr + 8 * start, ptr + 24, 1, 1, 1,
+                )
             stop = start
         return sol.copy()
 
 
 def _back_substitute(upper: np.ndarray, rhs: np.ndarray, kernels=None) -> np.ndarray:
-    """Solve ``upper @ x = rhs`` for upper-triangular ``upper`` in O(n^2).
-
-    The system is cut into diagonal blocks of ``_SUBSTITUTION_BLOCK``
-    rows solved bottom-up: one GEMV folds the solved tail into each
-    block's right-hand side, and the small triangular block is solved by
-    OpenBLAS's ``dtrsv`` in ``kernels``' buffers (new ones when None)
-    or, where numpy has not loaded OpenBLAS, by the ``solve1`` gufunc
-    called directly (its partial pivoting never swaps rows of a
-    nonsingular triangle).  Both give the same bits.  A zero on the
-    diagonal gives inf or NaN where ``np.linalg.solve`` would raise.
-    """
-    if _lapack is not None:
-        return (kernels or _InPlaceKernels(upper)).substitute(upper, rhs)
-    n = rhs.shape[0]
-    x = np.empty(n)
-    block = _SUBSTITUTION_BLOCK
-    start = (n - 1) // block * block
-    # The bottom block has no solved tail to fold in.
-    _solve1(upper[start:, start:], rhs[start:], out=x[start:])
-    for start in range(start - block, -1, -block):
-        stop = start + block
-        part = rhs[start:stop] - upper[start:stop, stop:] @ x[stop:]
-        _solve1(upper[start:stop, start:stop], part, out=x[start:stop])
-    return x
+    """``kernels.substitute(upper, rhs)``, with new kernels when None."""
+    return (kernels or _FitKernels(upper, _lapack)).substitute(upper, rhs)
 
 
 def _fit_linear_cached_moments(window: EvaluationWindow, intercept: bool):
@@ -666,9 +649,10 @@ def _fit_linear_cached_moments(window: EvaluationWindow, intercept: bool):
     # [[L, 0], [z^T, *]] with L z = b, so one factorization both checks
     # G and leaves only L^T x = z to solve.
     system = window._system[: k + 1, : k + 1]
-    upper = window._upper
-    if upper is None or upper.shape[0] != k + 1:
-        upper = window._upper = np.empty((k + 1, k + 1))
+    kernels = window._kernels
+    if kernels is None or kernels.upper.shape[0] != k + 1 or kernels.lib is not _lapack:
+        kernels = window._kernels = _FitKernels(np.empty((k + 1, k + 1)), _lapack)
+    upper = window._upper = kernels.upper
     rhs = system[k, :k]
     rhs[:d] = mom.p_vec
     if intercept:
@@ -678,18 +662,8 @@ def _fit_linear_cached_moments(window: EvaluationWindow, intercept: bool):
     system[:k, k] = rhs  # symmetric, whichever triangle cholesky reads
     system[k, k] = 2.0 * float(offsets @ offsets) + 1.0
     # Column-major L is row-major L^T: the substitution reads row blocks.
-    if _lapack is None:
-        kernels = None
-        with np.errstate(invalid="ignore"):
-            _cholesky_lo(system, out=upper.T)
-        if math.isnan(upper[k, k]):
-            return None  # not positive definite
-    else:
-        kernels = window._kernels
-        if kernels is None or kernels.upper is not upper:
-            kernels = window._kernels = _InPlaceKernels(upper)
-        if not kernels.factorize(system):
-            return None  # not positive definite
+    if not kernels.factorize(system):
+        return None  # not positive definite
     pivots = upper.diagonal()[:k] ** 2
     pivots /= system.diagonal()[:k]
     if pivots.min() < _RELATIVE_PIVOT_TOL:

@@ -59,6 +59,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             BenchmarkSpec("ridge", d=3, n_samples=0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["d", "n_samples", "lam", "seed"])
+    def test_non_finite_parameter_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            BenchmarkSpec("ridge", **{"d": 3, name: value})
+
 
 class TestRidge:
     spec = BenchmarkSpec("ridge", d=8, n_samples=60, seed=5)

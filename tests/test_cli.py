@@ -1,7 +1,9 @@
 import json
+from unittest import mock
 
 import pytest
 
+from reszo import cli
 from reszo.cli import main
 
 
@@ -253,3 +255,13 @@ def test_unwritable_output_is_export_failure(tmp_path, capsys, command):
     assert main(argv + ["--output", out]) == 1
     err = capsys.readouterr().err
     assert err.startswith("export failed: ") and str(blocker) in err
+
+
+def test_internal_key_error_is_not_a_config_error(tmp_path, capsys):
+    # A KeyError from inside a run is a fault of the program: it propagates
+    # with its traceback instead of exiting 2 as a bad config.
+    cfg = write_config(tmp_path / "cfg.json")
+    with mock.patch.object(cli, "run_experiment", side_effect=KeyError("internal")):
+        with pytest.raises(KeyError, match="internal"):
+            main(["run", "--config", str(cfg), "--output", str(tmp_path / "out")])
+    assert "config error" not in capsys.readouterr().err

@@ -127,6 +127,12 @@ class TestAggregateTrials:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["trials", "base_seed", "confidence", "stride"])
+    def test_non_finite_parameter_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            small_experiment(**{name: value})
+
     def test_trials_are_seeded_independently(self):
         results, curve = run_experiment(small_experiment())
         assert [r.seed for r in results] == [50, 51, 52]

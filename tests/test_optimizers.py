@@ -58,6 +58,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             reszo_cfg(warm_delta=None)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "name",
+        ["eta", "delta", "iterations", "window_m", "warm_eta", "warm_delta", "delta_min", "seed"],
+    )
+    @pytest.mark.parametrize("method", ["tzo", "l_reszo"])
+    def test_non_finite_parameter_rejected(self, method, name, value):
+        # A bad argument, not a run that later diverges on a NaN point.
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            reszo_cfg(method=method, **{name: value})
+
     def test_bad_mode_and_direction(self):
         # Each error names the accepted values; intercept_raw is retired.
         for mode in ("cubic", "intercept_raw"):

@@ -399,20 +399,28 @@ def test_cached_route_matches_lstsq_on_adversarial_windows():
     # assembled system up to the normal-equations error bound.  The
     # factor allows for re-centering the moment sums and for dimension.
     # Windows of capacity < d + 1 take the pseudoinverse route; the rest
-    # take the moment cache, pushed past two periodic rebuilds.  The
-    # quadratic design has 2d + 1 columns, so the same windows solve it
-    # through the row space (capacity < 2d + 1) and through lstsq.
+    # take the moment cache, which the mass rule rebuilds once the window
+    # has shrunk into the tight cluster.  The quadratic design has 2d + 1
+    # columns, so the same windows solve it through the row space
+    # (capacity < 2d + 1) and through lstsq.
     routes = set()
     quad_underdetermined = set()
+    cached, rebuilt = set(), set()
     for d, capacity in [(2, 3), (3, 6), (4, 4), (5, 12), (130, 140)]:
         rng = make_rng(60 + d)
         a = rng.standard_normal(d)
         win = EvaluationWindow(capacity, d)
-        # Phases outlast the window, so some full windows lie in one phase.
+        if capacity >= d + 1:
+            cached.add((d, capacity))
+        # Phases outlast the window, so some full windows lie in one phase,
+        # and one cycle of the four phases takes every window into the
+        # cluster and back.
         phase_len = max(40, capacity + 20)
-        pushes = max(2 * max(d, 64) + 60, 4 * phase_len)
-        for p in adversarial_stream(rng, d, pushes, phase_len):
+        for p in adversarial_stream(rng, d, 4 * phase_len, phase_len):
+            had_sums = win._mom is not None
             win.push(p, float(a @ p + 0.1 * np.sin(p).sum()))
+            if had_sums and win._mom is None:
+                rebuilt.add((d, capacity))  # the mass rule dropped the sums
             if len(win) < 2:
                 continue
             for mode in REGRESSION_MODES:
@@ -443,6 +451,7 @@ def test_cached_route_matches_lstsq_on_adversarial_windows():
     for mode in REGRESSION_MODES:
         assert {(mode, "cached_moments"), (mode, "pseudoinverse")} <= routes
     assert quad_underdetermined == {True, False}
+    assert rebuilt == cached
 
 
 @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 63, 64, 65, 101, 129, 901, 902])
@@ -728,21 +737,38 @@ def test_exact_objectives_take_cached_route(slope):
         assert np.max(np.abs(fit.g - a)) <= 1e-10, mode
 
 
-def test_moment_updates_match_fresh_build():
-    # The last in-place update before the periodic rebuild still agrees
-    # with sums built from scratch around the same reference.
-    d, m = 70, 80
-    rng = make_rng(83)
+def sin_stream(seed, d, m):
+    """A full window of m standard normal points in d dimensions valued by
+    sum(sin(p)), and a function that pushes the stream's next point."""
+    rng = make_rng(seed)
     win = EvaluationWindow(m, d)
+
+    def push():
+        p = rng.standard_normal(d)
+        win.push(p, float(np.sin(p).sum()))
+
     for _ in range(m):
-        p = rng.standard_normal(d)
-        win.push(p, float(np.sin(p).sum()))
+        push()
+    return win, push
+
+
+def test_moment_updates_match_fresh_build():
+    # The last in-place update before the mass rule drops the sums still
+    # agrees with sums built from scratch around the same reference.
+    d, m = 70, 80
+    win, push = sin_stream(83, d, m)
     mom = win.moment_cache()
-    updates = max(d, 64) - 1
-    for _ in range(updates):
-        p = rng.standard_normal(d)
-        win.push(p, float(np.sin(p).sum()))
-    assert win._mom is mom and mom.updates == updates
+    updates = 0
+    while win._mom is mom and updates < 10 * m:
+        push()
+        updates += 1
+    assert win._mom is None and updates > 10, updates
+    # The same stream again, stopped one push short of the drop.
+    win, push = sin_stream(83, d, m)
+    mom = win.moment_cache()
+    for _ in range(updates - 1):
+        push()
+    assert win._mom is mom
     deltas = win.points() - mom.c_ref
     offsets = win.values() - mom.f_ref
     scale = mom.mass
@@ -750,6 +776,39 @@ def test_moment_updates_match_fresh_build():
     np.testing.assert_allclose(mom.s_vec, deltas.sum(axis=0), rtol=0, atol=1e-13 * scale)
     np.testing.assert_allclose(mom.p_vec, deltas.T @ offsets, rtol=0, atol=1e-13 * scale)
     assert mom.f_sum == pytest.approx(offsets.sum(), abs=1e-13 * scale)
+    push()
+    assert win._mom is None
+
+
+@pytest.mark.parametrize("mode", REGRESSION_MODES)
+def test_mass_rule_rebuilds_sums_of_a_shrinking_far_cluster(mode):
+    # A window that walks out to a cluster far from the origin and then
+    # contracts: each push adds and cancels terms at the scale the window
+    # spanned, so the mass rule drops the sums, and the next fit rebuilds
+    # them.  Every cached g agrees with the g of a freshly built cache.
+    d, m = 6, 20
+    rng = make_rng(89)
+    a = rng.standard_normal(d)
+    far = np.full(d, 1e3)
+    win = EvaluationWindow(m, d)
+    built, worst = [], 0.0
+    for step in range(12 * m):
+        spread = 10.0 ** (2 - step / m)  # from 1e2 down to 1e-10
+        p = far * min(1.0, step / m) + spread * rng.standard_normal(d)
+        win.push(p, float(a @ p + 0.5 * np.sin(p).sum()))
+        if not win.is_full:
+            continue
+        fit = fit_linear(win, mode)
+        if win._mom is not None and (not built or win._mom is not built[-1]):
+            built.append(win._mom)
+        if fit.solver_path != "cached_moments":
+            continue
+        fresh = window_from(win.points(), win.values())
+        ref = fit_linear(fresh, mode)
+        assert ref.solver_path == "cached_moments"
+        worst = max(worst, float(np.linalg.norm(fit.g - ref.g) / np.linalg.norm(ref.g)))
+    assert len(built) >= 3, len(built)
+    assert worst <= 1e-8, worst
 
 
 @pytest.mark.parametrize("mode", REGRESSION_MODES)

@@ -12,7 +12,10 @@ the regression methods, each observed by a diagnostics collector, plus
 runs that diverge.  Ridge d=300 adds short l_reszo and q_reszo runs,
 whose ridge queries span several column panels, and logistic d=20 and
 Rosenbrock d=20 add tzo, l_reszo and q_reszo runs, so every benchmark
-problem is covered.  Each shipped ``configs/*.json``, loaded through
+problem is covered.  Two ridge d=100 l_reszo runs, one per regression
+mode, are long enough that the window's moment sums are rebuilt from the
+window more than once, which none of the shorter runs reaches at
+d >= 100.  Each shipped ``configs/*.json``, loaded through
 ``experiment_from_dict``, adds one case: its trial 0 (seed and initial
 point), cut to ``window_m + 100`` iterations (baselines: 200) and
 diagnosed when the config records diagnostics.  The JSON records, per
@@ -142,6 +145,9 @@ PROBLEMS = {
         steps={method: (1e-5, 0.01) for method in ("tzo", "l_reszo", "q_reszo")},
     ),
 }
+# ridge100's matrix runs end after 90 fits, before the moment sums are
+# first rebuilt; these l_reszo runs cross two rebuilds or more.
+LONG_RIDGE100_ITERATIONS = 700
 DIRECTIONS = ("sphere", "gaussian")
 # A step size far past stability, so the run diverges.
 DIVERGING_ETA = 1e3
@@ -149,7 +155,7 @@ DIVERGING_ETA = 1e3
 
 def cases():
     """(name, BenchmarkSpec, OptimizerConfig, diagnosed) for the fixed
-    matrix, then for each shipped config."""
+    matrix, the long ridge100 runs, then for each shipped config."""
     for pname, prob in PROBLEMS.items():
         spec = prob["spec"]
         for method in prob["steps"]:
@@ -192,6 +198,19 @@ def cases():
             if method != "rszo":
                 kw.update(prob["window"])
             yield f"{pname}/{method}/diverging", spec, OptimizerConfig(**kw), method != "rszo"
+    prob = PROBLEMS["ridge100"]
+    eta, delta = prob["steps"]["l_reszo"]
+    for mode in REGRESSION_MODES:
+        cfg = OptimizerConfig(
+            method="l_reszo",
+            eta=eta,
+            delta=delta,
+            iterations=LONG_RIDGE100_ITERATIONS,
+            regression_mode=mode,
+            seed=7,
+            **prob["window"],
+        )
+        yield f"ridge100/l_reszo/long/{mode}", prob["spec"], cfg, True
     for path in sorted(CONFIGS.glob("*.json")):
         exp = experiment_from_dict(json.loads(path.read_text()))
         regression = exp.optimizer.method in REGRESSION_METHODS
