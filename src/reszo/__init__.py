@@ -6,6 +6,9 @@ evaluations, a benchmark suite, convergence diagnostics, and a
 multi-trial experiment harness with a CLI.
 """
 
+# Above the imports, so that modules of the package can import it.
+__version__ = "0.1.0"
+
 from .core import (
     DIVERGENCE_THRESHOLD,
     BlackBoxObjective,
@@ -63,5 +66,3 @@ from .harness import (
     merge_curves,
     run_experiment,
 )
-
-__version__ = "0.1.0"

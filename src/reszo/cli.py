@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .harness import (
     ExportError,
     experiment_from_dict,
     export_results,
+    exporting,
     grid_search,
     run_experiment,
     write_compare_csv,
@@ -35,14 +36,9 @@ from .harness import (
 
 def _write_csv(out_dir, name: str, header: str, lines) -> None:
     """Write a CSV to ``out_dir/name``; a failed write is an ExportError."""
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / name, "w") as fh:
-            fh.write(header + "\n")
-            fh.writelines(line + "\n" for line in lines)
-    except OSError as exc:
-        raise ExportError(f"failed to export results to {out}: {exc}") from exc
+    with exporting(out_dir) as out, open(out / name, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(line + "\n" for line in lines)
 
 
 def _load_config(path: str) -> ExperimentConfig:
@@ -57,8 +53,6 @@ def _load_config(path: str) -> ExperimentConfig:
 
 
 def _apply_overrides(exp: ExperimentConfig, args) -> ExperimentConfig:
-    from dataclasses import replace
-
     updates = {}
     if getattr(args, "seed", None) is not None:
         updates["base_seed"] = args.seed
@@ -125,9 +119,7 @@ def _cmd_run(args) -> int:
     exp = _apply_overrides(_load_config(args.config), args)
     results, curve = run_experiment(exp)
     out_dir = exp.output_path or "reszo_out"
-    paths = export_results(
-        curve, results, out_dir, exp=exp, stride=exp.stride, version=__version__
-    )
+    paths = export_results(curve, results, out_dir, exp)
     print(
         f"{exp.optimizer.method} on {exp.benchmark.problem}: "
         f"{exp.trials} trial(s), {curve.diverged_count} diverged, "
@@ -159,8 +151,6 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_cd_ratio(args) -> int:
-    from dataclasses import replace
-
     exp = _apply_overrides(_load_config(args.config), args)
     exp = replace(exp, record_diagnostics=True)
     if exp.optimizer.method != "l_reszo":
@@ -214,14 +204,10 @@ def _cmd_compare(args) -> int:
         labels.append(label)
         curves.append(curve)
         print(f"{label}: final mean gap {curve.mean_gap[-1]:.6g}")
-    out_dir = Path(exps[0].output_path or "reszo_out")
-    path = out_dir / "compare.csv"
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    with exporting(exps[0].output_path or "reszo_out") as out_dir:
+        path = out_dir / "compare.csv"
         write_compare_csv(labels, curves, path, stride=exps[0].stride)
-        write_manifest(exps[0], out_dir / "manifest.json", __version__)
-    except OSError as exc:
-        raise ExportError(f"failed to export results to {out_dir}: {exc}") from exc
+        write_manifest(exps[0], out_dir / "manifest.json")
     print(f"wrote {path}")
     return 0
 

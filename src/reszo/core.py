@@ -7,6 +7,7 @@ arrays; there is no wrapper type and no configurable precision.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import fields
 from typing import Callable, Optional
 
@@ -26,11 +27,16 @@ def _all_finite(a: np.ndarray) -> bool:
 
 def _require_finite_fields(config) -> None:
     """Raise ValueError on the first field of the dataclass ``config``
-    holding a NaN or an infinity, which a range check can let through."""
+    holding a NaN or an infinity, which a range check can let through,
+    or, where the field is annotated ``int``, a bool or a non-integer."""
     for f in fields(config):
         value = getattr(config, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value!r}")
+        if f.type in (int, "int") and (
+            isinstance(value, bool) or not isinstance(value, numbers.Integral)
+        ):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
 
 
 class DimensionMismatchError(ValueError):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from itertools import repeat
 from pathlib import Path
@@ -20,6 +21,7 @@ from typing import List, Optional, Sequence, get_args, get_type_hints
 
 import numpy as np
 
+from . import __version__
 from .benchmarks import BenchmarkSpec, initial_point, make_objective
 from .core import (
     BlackBoxObjective,
@@ -391,11 +393,11 @@ def experiment_from_dict(data: dict) -> ExperimentConfig:
     return _from_json(ExperimentConfig, data, "config")
 
 
-def write_manifest(exp: ExperimentConfig, path, version: str) -> None:
-    """The config, reszo's version and the numeric environment, as JSON.
-    The manifest is itself a config: loading reads only ``config``."""
+def write_manifest(exp: ExperimentConfig, path) -> None:
+    """The config, ``reszo.__version__`` and the numeric environment, as
+    JSON.  The manifest is itself a config: loading reads only ``config``."""
     payload = {
-        "version": version,
+        "version": __version__,
         "config": experiment_to_dict(exp),
         "numeric": numeric_environment(),
     }
@@ -404,31 +406,40 @@ def write_manifest(exp: ExperimentConfig, path, version: str) -> None:
         fh.write("\n")
 
 
+class ExportError(RuntimeError):
+    """Export failed; results remain available in memory."""
+
+
+@contextmanager
+def exporting(out_dir):
+    """Create ``out_dir`` and yield it as a Path.  An OSError raised in
+    the block, or by the directory's creation, becomes an ExportError."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        yield out
+    except OSError as exc:
+        raise ExportError(f"failed to export results to {out}: {exc}") from exc
+
+
 def export_results(
     curve: AggregateCurve,
     results: Sequence[TrialResult],
     out_dir,
     exp: Optional[ExperimentConfig] = None,
-    stride: int = 1,
-    version: str = "0",
 ) -> dict:
-    """Write curve.csv, trials.csv and manifest.json under out_dir."""
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
+    """Write curve.csv and trials.csv under out_dir, every
+    ``exp.stride``-th row of each (every row without ``exp``), and with
+    ``exp`` its manifest.json."""
+    stride = 1 if exp is None else exp.stride
+    with exporting(out_dir) as out:
         paths = {"curve": out / "curve.csv", "trials": out / "trials.csv"}
         write_curve_csv(curve, paths["curve"], stride=stride)
         write_trials_csv(results, paths["trials"], stride=stride)
         if exp is not None:
             paths["manifest"] = out / "manifest.json"
-            write_manifest(exp, paths["manifest"], version)
-    except OSError as exc:
-        raise ExportError(f"failed to export results to {out}: {exc}") from exc
+            write_manifest(exp, paths["manifest"])
     return paths
-
-
-class ExportError(RuntimeError):
-    """Export failed; results remain available in memory."""
 
 
 # -- multi-config comparison ---------------------------------------------------

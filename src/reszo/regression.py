@@ -134,12 +134,12 @@ class SurrogateFit:
 
 
 class _MomentCache:
-    """Window sums centered at the newest pair ``(c_ref, f_ref)``.
+    """Window sums centered at the window's newest pair (c, f_c).
 
     ``m_mat``, ``s_vec``, ``p_vec`` and ``f_sum`` are the sums over the
-    window of (x - c)(x - c)^T, x - c, (x - c)(f - f_ref) and f - f_ref
-    with c = ``c_ref``: the Gram and right-hand sides of the centered
-    normal equations, with no re-centering left for a fit to do.
+    window of (x - c)(x - c)^T, x - c, (x - c)(f - f_c) and f - f_c:
+    the Gram and right-hand sides of the centered normal equations,
+    with no re-centering left for a fit to do.
     Centering keeps every quantity at the window-spread scale however
     far the trajectory sits from the origin.  ``m_mat`` is a view of the
     top-left block of the window's bordered-system buffer.  ``mass``
@@ -147,11 +147,9 @@ class _MomentCache:
     to or cancelled from ``m_mat``: the scale its rounding error follows.
     """
 
-    __slots__ = ("c_ref", "f_ref", "m_mat", "s_vec", "p_vec", "f_sum", "mass")
+    __slots__ = ("m_mat", "s_vec", "p_vec", "f_sum", "mass")
 
-    def __init__(self, c_ref, f_ref, m_mat, s_vec, p_vec, f_sum):
-        self.c_ref = c_ref
-        self.f_ref = f_ref
+    def __init__(self, m_mat, s_vec, p_vec, f_sum):
         self.m_mat = m_mat
         self.s_vec = s_vec
         self.p_vec = p_vec
@@ -203,7 +201,6 @@ class EvaluationWindow:
         self._mom: Optional[_MomentCache] = None
         self._system: Optional[np.ndarray] = None
         self._operands: Optional[tuple] = None
-        self._upper: Optional[np.ndarray] = None
         self._kernels: Optional[_FitKernels] = None
         self._scratch: Optional[np.ndarray] = None
         self._design: Optional[np.ndarray] = None
@@ -294,10 +291,13 @@ class EvaluationWindow:
         left_t, right = self._operands
         w_vec, u_vec, neg_dd = left_t
         dd = right[2, :d]
-        np.subtract(add_pt, mom.c_ref, out=u_vec)
-        np.subtract(drop_pt, mom.c_ref, out=dd)
-        phi = add_val - mom.f_ref
-        vd = drop_val - mom.f_ref
+        # The push has not yet overwritten a slot: the newest pair is
+        # still the sums' center.
+        c_ref, f_ref = self.newest_point(), self.newest_value()
+        np.subtract(add_pt, c_ref, out=u_vec)
+        np.subtract(drop_pt, c_ref, out=dd)
+        phi = add_val - f_ref
+        vd = drop_val - f_ref
         # Drop dd, add u, then move the center by u with the updated
         # s' = s - dd + u:  M - dd dd^T + u u^T - u s'^T - s' u^T + m u u^T
         # = M + u w^T + w u^T - dd dd^T.
@@ -321,8 +321,6 @@ class EvaluationWindow:
         mom.s_vec -= dd + (m - 1) * u_vec
         mom.f_sum -= vd + (m - 1) * phi
         mom.mass += float(dd @ dd) + 2.0 * math.sqrt(float(u_vec @ u_vec) * float(w_vec @ w_vec))
-        mom.c_ref[:] = add_pt
-        mom.f_ref = add_val
         if mom.mass > _RECENTER_LIMIT * float(mom.m_mat.trace()):
             self._mom = None  # rebuilt from the window at the next fit
 
@@ -351,15 +349,11 @@ class EvaluationWindow:
                 # copy-in then runs down contiguous columns.
                 self._system = np.empty((d + 2, d + 2), order="F")
                 self._operands = (np.empty((3, d)), np.zeros((3, d + 2)))
-            c_ref = self.newest_point().copy()
-            f_ref = self.newest_value()
-            deltas = self._pts - c_ref
-            offsets = self._vals - f_ref
+            deltas = self._pts - self.newest_point()
+            offsets = self._vals - self.newest_value()
             m_mat = self._system[:d, :d]
             np.matmul(deltas.T, deltas, out=m_mat)
             mom = self._mom = _MomentCache(
-                c_ref,
-                f_ref,
                 m_mat,
                 deltas.sum(axis=0),
                 deltas.T @ offsets,
@@ -643,7 +637,7 @@ def _fit_linear_cached_moments(window: EvaluationWindow, intercept: bool):
     # is identically zero: full-window sums equal those over the m - 1
     # older points, and the Gram block is already in place.  The fit
     # reads no window point.
-    offsets = window._vals - mom.f_ref
+    offsets = window._vals - window.newest_value()
     # The normal matrix bordered by its right-hand side b, with a corner
     # above b^T G^-1 b = |P y|^2 <= |y|^2: its Cholesky factor is
     # [[L, 0], [z^T, *]] with L z = b, so one factorization both checks
@@ -652,7 +646,7 @@ def _fit_linear_cached_moments(window: EvaluationWindow, intercept: bool):
     kernels = window._kernels
     if kernels is None or kernels.upper.shape[0] != k + 1 or kernels.lib is not _lapack:
         kernels = window._kernels = _FitKernels(np.empty((k + 1, k + 1)), _lapack)
-    upper = window._upper = kernels.upper
+    upper = kernels.upper
     rhs = system[k, :k]
     rhs[:d] = mom.p_vec
     if intercept:

@@ -3,7 +3,7 @@ from unittest import mock
 
 import pytest
 
-from reszo import cli
+from reszo import cli, experiment_from_dict, export_results, run_experiment
 from reszo.cli import main
 
 
@@ -66,6 +66,20 @@ def test_run_accepts_manifest_as_config(tmp_path):
         assert main(["run", "--config", str(path), "--output", str(out)]) == 0
         for csv_name in ("curve.csv", "trials.csv"):
             assert (out1 / csv_name).read_bytes() == (out / csv_name).read_bytes()
+
+
+def test_library_export_reruns_byte_identically_from_its_manifest(tmp_path):
+    # The rerun exports every third row, as its manifest says; so must
+    # the library export that wrote the manifest.
+    cfg = write_config(tmp_path / "cfg.json", stride=3)
+    exp = experiment_from_dict(json.loads(cfg.read_text()))
+    results, curve = run_experiment(exp)
+    lib = tmp_path / "lib"
+    export_results(curve, results, lib, exp)
+    rerun = tmp_path / "rerun"
+    assert main(["run", "--config", str(lib / "manifest.json"), "--output", str(rerun)]) == 0
+    for csv_name in ("curve.csv", "trials.csv"):
+        assert (lib / csv_name).read_bytes() == (rerun / csv_name).read_bytes()
 
 
 def test_flag_overrides_change_seed(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,48 @@ from reszo import (
     DimensionMismatchError,
     EvaluationFailureError,
     EvaluationWindow,
+    ExperimentConfig,
+    OptimizerConfig,
     make_objective,
     make_rng,
 )
+
+_VALID_CONFIGS = (
+    BenchmarkSpec("ridge", d=4, n_samples=20),
+    OptimizerConfig(
+        method="l_reszo", eta=1e-4, delta=0.01, iterations=20, window_m=6,
+        warm_eta=1e-5, warm_delta=0.05,
+    ),
+    ExperimentConfig(
+        benchmark=BenchmarkSpec("ridge", d=4, n_samples=20),
+        optimizer=OptimizerConfig(method="tzo", eta=1e-4, delta=0.01, iterations=20),
+        trials=2,
+        stride=2,
+    ),
+)
+_INT_FIELDS = [
+    (config, f.name)
+    for config in _VALID_CONFIGS
+    for f in fields(config)
+    if f.type in (int, "int")
+]
+each_int_field = pytest.mark.parametrize(
+    "config, name", _INT_FIELDS, ids=[f"{type(c).__name__}.{n}" for c, n in _INT_FIELDS]
+)
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+@each_int_field
+def test_integer_field_rejects_a_non_integer(config, name, value):
+    # A bad argument, not a TypeError deep inside the run.
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        replace(config, **{name: value})
+
+
+@each_int_field
+def test_integer_field_accepts_a_numpy_integer(config, name):
+    value = np.int64(getattr(config, name))
+    assert getattr(replace(config, **{name: value}), name) == value
 
 
 def test_rosenbrock_origin_is_zero():

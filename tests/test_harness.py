@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reszo
 import reszo.harness
 from reszo import (
     AggregateCurve,
@@ -224,7 +225,7 @@ class TestExport:
     def test_curve_roundtrip_bit_exact(self, tmp_path):
         results, curve = run_experiment(small_experiment())
         exp = small_experiment()
-        paths = export_results(curve, results, tmp_path / "out", exp=exp, version="t")
+        paths = export_results(curve, results, tmp_path / "out", exp=exp)
         loaded = load_curve_csv(paths["curve"])
         np.testing.assert_array_equal(loaded.queries, curve.queries)
         np.testing.assert_array_equal(loaded.mean_gap, curve.mean_gap)
@@ -246,7 +247,7 @@ class TestExport:
     def test_manifest_reproduces_curve_bit_exactly(self, tmp_path):
         exp = small_experiment()
         results, curve = run_experiment(exp)
-        paths = export_results(curve, results, tmp_path / "out", exp=exp, version="t")
+        paths = export_results(curve, results, tmp_path / "out", exp=exp)
         manifest = json.loads(paths["manifest"].read_text())
         rebuilt = experiment_from_dict(manifest)
         _, again = run_experiment(rebuilt)
@@ -266,7 +267,7 @@ class TestExport:
             pytest.skip("numpy has not loaded a bundled ILP64 OpenBLAS")
         exp = small_experiment()
         results, curve = run_experiment(exp)
-        paths = export_results(curve, results, tmp_path / "out", exp=exp, version="t")
+        paths = export_results(curve, results, tmp_path / "out", exp=exp)
         manifest = json.loads(paths["manifest"].read_text())
         numeric = manifest["numeric"]
         assert set(numeric) == {"numpy", "lapack", "blas_threads", "fit_kernels"}
@@ -285,10 +286,24 @@ class TestExport:
     def test_stride_subsamples_rows(self, tmp_path):
         results, curve = run_experiment(small_experiment())
         export_results(curve, results, tmp_path / "a")
-        export_results(curve, results, tmp_path / "b", stride=5)
+        export_results(curve, results, tmp_path / "b", small_experiment(stride=5))
         rows_a = (tmp_path / "a" / "curve.csv").read_text().splitlines()
         rows_b = (tmp_path / "b" / "curve.csv").read_text().splitlines()
         assert len(rows_b) - 1 == (len(rows_a) - 1 + 4) // 5
+        # The stride and the version come from the experiment and the package.
+        for retired in ({"stride": 5}, {"version": "t"}):
+            with pytest.raises(TypeError):
+                export_results(curve, results, tmp_path / "c", **retired)
+
+    def test_manifest_version_is_the_package_version(self, tmp_path):
+        tomllib = pytest.importorskip("tomllib")
+        exp = small_experiment(trials=1)
+        results, curve = run_experiment(exp)
+        paths = export_results(curve, results, tmp_path / "out", exp)
+        manifest = json.loads(paths["manifest"].read_text())
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        project = tomllib.loads(pyproject.read_text())["project"]
+        assert manifest["version"] == reszo.__version__ == project["version"]
 
 
 def _fmt_value(value) -> str:

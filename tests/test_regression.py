@@ -576,7 +576,7 @@ def test_cached_factor_matches_numpy_cholesky_bitwise():
     substitute = regression._back_substitute
 
     def poisoned(upper, rhs, kernels=None):
-        full = win._upper
+        full = win._kernels.upper
         full[np.tril_indices(full.shape[0], -1)] = np.nan
         return substitute(upper, rhs, kernels)
 
@@ -586,17 +586,17 @@ def test_cached_factor_matches_numpy_cholesky_bitwise():
                 fit = fit_linear(win, mode)
                 assert fit.solver_path == "cached_moments"
                 ref = np.linalg.cholesky(win._system[: k + 1, : k + 1]).T
-                assert win._upper.shape == ref.shape, (route, mode)
+                assert win._kernels.upper.shape == ref.shape, (route, mode)
                 upper_part = np.triu_indices(k + 1)
                 assert np.array_equal(
-                    win._upper[upper_part].view(np.uint64), ref[upper_part].view(np.uint64)
+                    win._kernels.upper[upper_part].view(np.uint64), ref[upper_part].view(np.uint64)
                 ), (route, mode)
                 if route == "gufunc":
-                    assert not np.tril(win._upper, -1).any(), mode
+                    assert not np.tril(win._kernels.upper, -1).any(), mode
                     continue
                 with mock.patch.object(regression, "_back_substitute", poisoned):
                     again = fit_linear(win, mode)
-                assert np.isnan(win._upper[k, 0])
+                assert np.isnan(win._kernels.upper[k, 0])
                 assert again.solver_path == "cached_moments"
                 assert np.array_equal(again.g.view(np.uint64), fit.g.view(np.uint64)), mode
                 assert (again.c is None) == (fit.c is None)
@@ -677,7 +677,7 @@ def test_failed_factorization_takes_pseudoinverse_silently():
     for mode in REGRESSION_MODES:
         fit = fit_linear(win, mode)
         assert fit.solver_path == "pseudoinverse", mode
-        assert np.all(np.isnan(win._upper)), mode
+        assert np.all(np.isnan(win._kernels.upper)), mode
         assert np.all(np.isfinite(fit.g)), mode
 
 
@@ -769,8 +769,8 @@ def test_moment_updates_match_fresh_build():
     for _ in range(updates - 1):
         push()
     assert win._mom is mom
-    deltas = win.points() - mom.c_ref
-    offsets = win.values() - mom.f_ref
+    deltas = win.points() - win.newest_point()
+    offsets = win.values() - win.newest_value()
     scale = mom.mass
     np.testing.assert_allclose(mom.m_mat, deltas.T @ deltas, rtol=0, atol=1e-13 * scale)
     np.testing.assert_allclose(mom.s_vec, deltas.sum(axis=0), rtol=0, atol=1e-13 * scale)
@@ -1030,8 +1030,8 @@ def test_window_fits_match_lstsq_on_generated_streams(stream):
             check_against_lstsq(x_mat, y_vec, fit_quadratic(win), (step, "quadratic"))
     mom = win._mom
     if mom is not None:
-        deltas = win.points() - mom.c_ref
-        offsets = win.values() - mom.f_ref
+        deltas = win.points() - win.newest_point()
+        offsets = win.values() - win.newest_value()
         atol = 1e-13 * mom.mass
         np.testing.assert_allclose(mom.m_mat, deltas.T @ deltas, rtol=0, atol=atol)
         np.testing.assert_allclose(mom.s_vec, deltas.sum(axis=0), rtol=0, atol=atol)

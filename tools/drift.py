@@ -18,11 +18,16 @@ window more than once, which none of the shorter runs reaches at
 d >= 100.  Each shipped ``configs/*.json``, loaded through
 ``experiment_from_dict``, adds one case: its trial 0 (seed and initial
 point), cut to ``window_m + 100`` iterations (baselines: 200) and
-diagnosed when the config records diagnostics.  The JSON records, per
-case and per ``RunTrace`` array, its sha256 and its raw bytes.  With
-``--against``, each array of the new run is reported as byte-identical,
-or with its largest relative drift and the first iteration (or
-coordinate, for ``final_x``) that differs; a case that only the
+diagnosed when the config records diagnostics.  That trial is also
+exported through ``export_results`` as the experiment's only trial,
+under the config as loaded (its ``stride`` included).  The JSON records,
+per case and per ``RunTrace`` array, its sha256 and its raw bytes, and
+for a config case the sha256 of its ``curve.csv`` and ``trials.csv``;
+``manifest.json`` is left out, as it records the thread count and the
+version.  With ``--against``, each array of the new run is reported as
+byte-identical, or with its largest relative drift and the first
+iteration (or coordinate, for ``final_x``) that differs, and each
+exported CSV as byte-identical or different; a case that only the
 reference has is listed as dropped and counted in the summary.
 
 The report measures drift; it is not a test and fails on nothing.  The
@@ -42,6 +47,7 @@ import base64  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -53,7 +59,10 @@ from reszo import (  # noqa: E402
     DiagnosticsCollector,
     DivergenceError,
     OptimizerConfig,
+    TrialResult,
+    aggregate_trials,
     experiment_from_dict,
+    export_results,
     initial_point,
     make_objective,
     make_rng,
@@ -151,6 +160,8 @@ LONG_RIDGE100_ITERATIONS = 700
 DIRECTIONS = ("sphere", "gaussian")
 # A step size far past stability, so the run diverges.
 DIVERGING_ETA = 1e3
+# The files of an export whose bytes are compared.
+EXPORTS = ("curve.csv", "trials.csv")
 
 
 def cases():
@@ -211,16 +222,20 @@ def cases():
             **prob["window"],
         )
         yield f"ridge100/l_reszo/long/{mode}", prob["spec"], cfg, True
-    for path in sorted(CONFIGS.glob("*.json")):
-        exp = experiment_from_dict(json.loads(path.read_text()))
+    for name, exp in shipped_configs():
         regression = exp.optimizer.method in REGRESSION_METHODS
         iterations = exp.optimizer.window_m + 100 if regression else 200
         cfg = replace(exp.optimizer, iterations=iterations, seed=exp.base_seed)
-        yield f"config/{path.stem}", exp.benchmark, cfg, regression and exp.record_diagnostics
+        yield name, exp.benchmark, cfg, regression and exp.record_diagnostics
 
 
-def run_case(spec, cfg, diagnosed):
-    obj = make_objective(spec)
+def shipped_configs():
+    """(case name, ExperimentConfig as loaded) for each ``configs/*.json``."""
+    for path in sorted(CONFIGS.glob("*.json")):
+        yield f"config/{path.stem}", experiment_from_dict(json.loads(path.read_text()))
+
+
+def run_case(obj, spec, cfg, diagnosed):
     collector = None
     if diagnosed:
         collector = DiagnosticsCollector(obj)
@@ -246,10 +261,26 @@ def decode(entry):
     return np.frombuffer(base64.b64decode(entry["data"]), dtype=np.dtype(entry["dtype"]))
 
 
+def export_digests(exp, obj, trace):
+    """sha256 of each of ``EXPORTS`` as ``export_results`` writes
+    ``trace`` as the only trial of ``exp``."""
+    fstar = obj.optimum_value
+    curve = aggregate_trials([trace], exp.confidence, 0.0 if fstar is None else fstar)
+    results = [TrialResult(index=0, seed=exp.base_seed, trace=trace)]
+    with tempfile.TemporaryDirectory() as tmp:
+        export_results(curve, results, tmp, exp)
+        return {
+            name: hashlib.sha256((Path(tmp) / name).read_bytes()).hexdigest()
+            for name in EXPORTS
+        }
+
+
 def collect():
     out = {}
+    configs = dict(shipped_configs())
     for name, spec, cfg, diagnosed in cases():
-        trace = run_case(spec, cfg, diagnosed)
+        obj = make_objective(spec)
+        trace = run_case(obj, spec, cfg, diagnosed)
         arrays = {
             key: encode(getattr(trace, key))
             for key in ARRAYS
@@ -260,6 +291,8 @@ def collect():
             "divergence_iteration": trace.divergence_iteration,
             "arrays": arrays,
         }
+        if name in configs and not trace.diverged:
+            out[name]["exports"] = export_digests(configs[name], obj, trace)
     return out
 
 
@@ -285,8 +318,9 @@ def drift(new, old):
 
 def compare(new_cases, old_cases):
     """Print one line per case that moved, was added or was dropped, and a
-    summary; return the counts of identical and moved arrays."""
-    identical = moved = 0
+    summary; return the counts of identical and moved arrays and of
+    identical and different exported CSVs."""
+    identical = moved = same_csv = other_csv = 0
     for name, case in new_cases.items():
         old = old_cases.get(name)
         if old is None:
@@ -315,17 +349,27 @@ def compare(new_cases, old_cases):
             rel, first = drift(na, nb)
             where = "index" if key == "final_x" else "iteration"
             notes.append(f"{key} max rel drift {rel:.3g}, first at {where} {first}")
+        exports, old_exports = case.get("exports", {}), old.get("exports", {})
+        for file in EXPORTS:
+            a, b = exports.get(file), old_exports.get(file)
+            if a is None and b is None:
+                continue
+            if a == b:
+                same_csv += 1
+                continue
+            other_csv += 1
+            notes.append(f"{file} {'different' if a and b else 'exported in one run only'}")
         if notes:
             print(f"{name}: " + "; ".join(notes))
     dropped = [name for name in old_cases if name not in new_cases]
     for name in dropped:
         print(f"{name}: dropped, in the reference only")
-    total = identical + moved
     print(
-        f"{identical} of {total} arrays byte-identical across {len(new_cases)} cases; "
-        f"{len(dropped)} reference cases dropped"
+        f"{identical} of {identical + moved} arrays and {same_csv} of "
+        f"{same_csv + other_csv} exported CSVs byte-identical across "
+        f"{len(new_cases)} cases; {len(dropped)} reference cases dropped"
     )
-    return identical, moved
+    return identical, moved, same_csv, other_csv
 
 
 def main(argv=None):
