@@ -207,7 +207,8 @@ def _cmd_compare(args) -> int:
     with exporting(exps[0].output_path or "reszo_out") as out_dir:
         path = out_dir / "compare.csv"
         write_compare_csv(labels, curves, path, stride=exps[0].stride)
-        write_manifest(exps[0], out_dir / "manifest.json")
+        for label, exp in zip(labels, exps):
+            write_manifest(exp, out_dir / f"manifest_{label}.json")
     print(f"wrote {path}")
     return 0
 

@@ -36,27 +36,28 @@ deficiency, and every other window, falls back to a minimum-norm
 pseudoinverse solve; rank deficiency never raises out of
 ``fit_linear``/``fit_quadratic``.
 
-Every fit the moment cache does not serve assembles its design, and its
-row-space solve writes X X^T, into buffers the window keeps.  At d of
-about 100 a fit costs little more than its LAPACK and BLAS calls, so
-the per-call wrappers count.  Where numpy's wheel has loaded its
-bundled OpenBLAS (see ``_openblas``), the cached fit calls it through
-``ctypes`` on window buffers: ``dpotrf`` factors a copy of the bordered
-system in place in the factor buffer, and ``dtrsv`` solves each 64-row
-diagonal block of the back substitution in place in a window-kept
-solution vector.  Both give the bits numpy's gufuncs give, since
-numpy's ``np.linalg.cholesky`` runs the same ``dpotrf``, and its LU
-solve of a nonsingular triangle is that triangle's ``dtrsv``.  Elsewhere
-numpy's LAPACK gufuncs serve it (``cholesky_lo`` and ``solve1``, the
-kernels behind ``np.linalg.cholesky`` and ``np.linalg.solve``), called
-directly; ``solve1`` also serves every row-space solve.  In a hot loop
-at one BLAS thread (2-core x86-64, numpy 2.4.6, OpenBLAS 0.3.31) the
-direct calls took the back substitution from 46 to 13 us at n = 101 and
-from 614 to 264 us at n = 901, and the factorization from 44 to 38 us
-at n = 102 and from 11.3 to 9.7 ms at n = 902, where the gufunc also
-mallocs and fills its own column-major copy.  Norms are
-taken as ``math.sqrt(v @ v)``, which is what ``np.linalg.norm``
-computes on 1-D and C-contiguous inputs.
+Every fit the moment cache does not serve builds its design and its
+row-space Gram X X^T as new arrays; window-kept buffers for them
+measured no faster.  At d of about 100 a cached fit costs little more
+than its LAPACK and BLAS calls, so the per-call wrappers count.  Where
+numpy's wheel has loaded its bundled OpenBLAS (see ``_openblas``), the
+cached fit calls it through ``ctypes`` on window buffers: ``dpotrf``
+factors a copy of the bordered system in place in the factor buffer,
+and ``dtrsv`` solves each 64-row diagonal block of the back
+substitution in place in a window-kept solution vector.  Both give the
+bits numpy's gufuncs give, since numpy's ``np.linalg.cholesky`` runs
+the same ``dpotrf``, and its LU solve of a nonsingular triangle is that
+triangle's ``dtrsv``.  Elsewhere numpy's LAPACK gufuncs serve it
+(``cholesky_lo`` and ``solve1``, the kernels behind
+``np.linalg.cholesky`` and ``np.linalg.solve``), called directly;
+``solve1`` also serves every row-space solve.  In a hot loop at one
+BLAS thread (2-core x86-64, numpy 2.4.6, OpenBLAS 0.3.31) the direct
+calls took the back substitution from 46 to 13 us at n = 101 and from
+614 to 264 us at n = 901, and the factorization from 44 to 38 us at
+n = 102 and from 11.3 to 9.7 ms at n = 902, where the gufunc also
+mallocs and fills its own column-major copy.  Norms are taken as
+``math.sqrt(v @ v)``, which is what ``np.linalg.norm`` computes on 1-D
+and C-contiguous inputs.
 """
 
 from __future__ import annotations
@@ -84,8 +85,7 @@ _SWAP_SINGULAR_TOL = 1e-12
 # updates added and cancelled outweigh the Gram's trace by this factor.
 _RECENTER_LIMIT = 100.0
 # Elements of the row-block scratch (256 KB) through which the moment
-# update and the quadratic design's half squares pass, so neither
-# allocates a d x d or m x d temporary.
+# update passes, so a push allocates no d x d temporary.
 _BLOCK_ELEMENTS = 32768
 # Diagonal block size of the blocked triangular solve.  One GEMV folds
 # the solved tail into each block's right-hand side, and each block is
@@ -169,22 +169,20 @@ class EvaluationWindow:
     ``_RECENTER_LIMIT`` the push drops the sums, and the next fit
     rebuilds them from the window.
 
-    The window also keeps its fits' buffers, so neither a push nor a fit
-    allocates a d x d, m x d or m x m temporary: the (d+2)x(d+2)
+    The window also keeps the cached linear fit's buffers, so neither a
+    push nor that fit allocates a d x d temporary: the (d+2)x(d+2)
     bordered normal matrix, column-major as LAPACK reads it, whose
     top-left d x d block holds the second moments; the rank-3 update's
-    (3, d) and (3, d+2) operands, which each push fills in place; the
-    linear fit's (k+1)x(k+1) Cholesky factor, which LAPACK writes
-    column-major so the buffer holds the upper factor L^T row-major, with
-    the substitution's solution vector and, on the direct OpenBLAS route,
-    its block scratch (``_FitKernels``); a row-block scratch (one
-    block whenever m * (d + 2) fits it); and, for the fits the moment
-    cache does not serve, the design ((m - 1, w) when m <= w + 1, else
-    (m, w + 1), w being d or 2d), the contiguous (m, d) differences it is
-    copied from, and the row-space Gram X X^T.
-    Each is allocated on first use and reused while its shape stays the
-    same; no fit returns a view of them.  The LU solve's own copy of
-    X X^T is allocated inside numpy's gufunc.
+    (3, d) and (3, d+2) operands, which each push fills in place, both
+    allocated with the first moment sums, and its row-block scratch (one
+    block whenever d * (d + 2) elements fit ``_BLOCK_ELEMENTS``),
+    allocated at the first update; and the (k+1)x(k+1) Cholesky factor,
+    which LAPACK writes column-major so the buffer holds the upper factor
+    L^T row-major, with the substitution's solution vector and, on the
+    direct OpenBLAS route, its block scratch (``_FitKernels``), reused
+    while k stays the same.
+    No fit returns a view of them.  The fits the moment cache does not
+    serve keep nothing: their design and X X^T are new arrays.
     """
 
     def __init__(self, capacity: int, dim: int):
@@ -203,9 +201,6 @@ class EvaluationWindow:
         self._operands: Optional[tuple] = None
         self._kernels: Optional[_FitKernels] = None
         self._scratch: Optional[np.ndarray] = None
-        self._design: Optional[np.ndarray] = None
-        self._deltas: Optional[np.ndarray] = None
-        self._gram: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return self._count
@@ -263,24 +258,16 @@ class EvaluationWindow:
         return self._pts[self._start]
 
     def spread(self) -> float:
-        """Largest distance from any stored point to the newest one."""
+        """Largest distance from any stored point to the newest one.
+
+        Nothing in reszo calls it.  Kept so tools that look the method up
+        by name on the class, such as span tracers, still resolve it.
+        """
         diffs = self._pts[: self._count] - self.newest_point()
         np.square(diffs, out=diffs)
         return float(np.sqrt(np.max(diffs.sum(axis=1))))
 
     # -- caches ----------------------------------------------------------
-
-    def _row_blocks(self, n_rows: int, width: int):
-        """Yield ``(start, stop, block)`` over ``n_rows`` rows in blocks
-        of at most ``_BLOCK_ELEMENTS`` elements, ``block`` being a
-        (stop - start, width) view of the window's row-block scratch."""
-        if self._scratch is None:
-            size = min(_BLOCK_ELEMENTS, self.capacity * (self.dim + 2))
-            self._scratch = np.empty(max(size, self.dim + 2))
-        rows = self._scratch.size // width
-        for start in range(0, n_rows, rows):
-            stop = min(start + rows, n_rows)
-            yield start, stop, self._scratch[: (stop - start) * width].reshape(-1, width)
 
     def _update_caches(self, drop_pt, drop_val, add_pt, add_val):
         mom = self._mom
@@ -311,10 +298,19 @@ class EvaluationWindow:
         # entry i being w_j u_i + u_j w_i - dd_j dd_i: term for term the
         # products, in the same order, of the row-major update
         # u_i w_j + w_i u_j - dd_i dd_j.  The border rows get +0.0.
-        left, columns = left_t.T, self._system.T
-        for start, stop, block in self._row_blocks(d, d + 2):
-            np.matmul(left[start:stop], right, out=block)
-            columns[start:stop] += block
+        # The row-block scratch is allocated here, at the first update.
+        # Allocated with the system, before the build's (m, d) temporaries,
+        # it raised the peak RSS of a d=900, m=910 run by one d x d block
+        # (78.5 against 72.0 MB): the same arrays, placed otherwise by the
+        # allocator.
+        if self._scratch is None:
+            rows = min(max(_BLOCK_ELEMENTS // (d + 2), 1), d)
+            self._scratch = np.empty((rows, d + 2))
+        left, columns, rows = left_t.T, self._system.T, len(self._scratch)
+        for start in range(0, d, rows):
+            block = self._scratch[: min(rows, d - start)]
+            np.matmul(left[start : start + rows], right, out=block)
+            columns[start : start + len(block)] += block
         # The same drop, add and move for the first moments.
         mom.p_vec += (dd - mom.s_vec) * phi - dd * vd
         mom.p_vec += u_vec * (vd - mom.f_sum + (m - 1) * phi)
@@ -380,42 +376,20 @@ def _intercept(mode: str) -> bool:
 
 
 def _design(window: EvaluationWindow, quadratic: bool, intercept: bool):
-    """The centered (X, y), X written into the window's design buffer.
+    """The centered (X, y), both new arrays.
 
     Rows are the older points minus the newest, oldest first, followed
     by their half squares when ``quadratic`` is set.  ``intercept`` adds
-    the newest row, (0, ..., 0, 1) with target 0, and the ones column.
+    the newest row, (0, ..., 0, 1) with target 0, and the ones column;
+    without it the newest point's own zero difference, the last row, is
+    left out.
     """
-    m, d = len(window), window.dim
-    width = 2 * d if quadratic else d
-    rows, cols = (m, width + 1) if intercept else (m - 1, width)
-    x_mat = window._design
-    if x_mat is None or x_mat.shape != (rows, cols):
-        x_mat = window._design = np.empty((rows, cols))
-    deltas = window._deltas
-    if deltas is None or deltas.shape[0] != m:
-        deltas = window._deltas = np.empty((m, d))
-    # Oldest row first: the ring buffer from its start, then its wrapped head.
-    start = window._start
-    newest = window.newest_point()
-    np.subtract(window._pts[start:m], newest, out=deltas[: m - start])
-    np.subtract(window._pts[:start], newest, out=deltas[m - start :])
-    # The arithmetic runs on contiguous arrays, and only copies write the
-    # design's column blocks: a ufunc on those strided views loops row by
-    # row, and one that reads and writes blocks of the same buffer copies
-    # its input first.  The newest point's own zero difference is the
-    # last row, which a design without intercept leaves out.
-    x_mat[:, :d] = deltas[:rows]
-    if quadratic:
-        half_squares = x_mat[:, d:width]
-        for start, stop, block in window._row_blocks(rows, d):
-            np.multiply(deltas[start:stop], 0.5, out=block)
-            block *= deltas[start:stop]
-            half_squares[start:stop] = block
-    if intercept:
-        x_mat[:, width] = 1.0
+    rows = len(window) if intercept else len(window) - 1
+    deltas = window.points()[:rows] - window.newest_point()
+    half_squares = [0.5 * deltas * deltas] if quadratic else []
+    ones = [np.ones((rows, 1))] if intercept else []
     vals = window.values()
-    return x_mat, (vals - vals[-1])[:rows]
+    return np.hstack([deltas, *half_squares, *ones]), (vals - vals[-1])[:rows]
 
 
 def assemble_linear_system(window: EvaluationWindow, mode: str):
@@ -426,30 +400,25 @@ def assemble_linear_system(window: EvaluationWindow, mode: str):
     solution.
     """
     _require_samples(window)
-    x_mat, y_vec = _design(window, False, _intercept(mode))
-    return x_mat.copy(), y_vec
+    return _design(window, False, _intercept(mode))
 
 
 def assemble_quadratic_system(window: EvaluationWindow):
     """Build the (m, 2d+1) design with rows (dx, 0.5*dx*dx, 1)."""
     _require_samples(window)
-    x_mat, y_vec = _design(window, True, True)
-    return x_mat.copy(), y_vec
+    return _design(window, True, True)
 
 
 # -- solvers ---------------------------------------------------------------
 
 
-def solve_least_squares(
-    x_mat: np.ndarray, y_vec: np.ndarray, gram_out: Optional[np.ndarray] = None
-):
+def solve_least_squares(x_mat: np.ndarray, y_vec: np.ndarray):
     """Minimum-norm least-squares solve; returns (coeffs, residual_norm).
 
     Underdetermined systems with full row rank are solved through the
     row space (X^T (X X^T)^-1 y), which is the min-norm solution at a
     fraction of the SVD cost; anything questionable falls back to
-    numpy's lstsq.  ``gram_out``, an (m, m) float64 C-contiguous array,
-    receives X X^T in place of a new array; it changes no result.
+    numpy's lstsq.
     """
     x_mat = np.asarray(x_mat, dtype=np.float64)
     y_vec = np.asarray(y_vec, dtype=np.float64)
@@ -457,12 +426,10 @@ def solve_least_squares(
         raise ValueError("shape mismatch between design matrix and targets")
     if not (_all_finite(x_mat) and _all_finite(y_vec)):
         raise ValueError("non-finite entries in least-squares system")
-    rows, cols = x_mat.shape
-    if rows < cols:
-        w_mat = np.matmul(x_mat, x_mat.T, out=gram_out)
+    if x_mat.shape[0] < x_mat.shape[1]:
         # A singular X X^T leaves NaN in the dual, which falls through.
         with np.errstate(invalid="ignore"):
-            dual = _solve1(w_mat, y_vec)
+            dual = _solve1(x_mat @ x_mat.T, y_vec)
         if np.isfinite(dual).all():
             coeffs = x_mat.T @ dual
             resid = x_mat @ coeffs - y_vec
@@ -670,7 +637,7 @@ def _fit_linear_cached_moments(window: EvaluationWindow, intercept: bool):
 
 
 def _fit_design(window: EvaluationWindow, quadratic: bool, intercept: bool) -> SurrogateFit:
-    """Minimum-norm fit of the centered design, in the window's buffers.
+    """Minimum-norm fit of the centered design.
 
     The newest row is (0, ..., 0, 1) with target 0, so a window of
     m <= w + 1 points (w = d, or 2d for ``quadratic``), which the
@@ -682,14 +649,8 @@ def _fit_design(window: EvaluationWindow, quadratic: bool, intercept: bool) -> S
     d = window.dim
     width = 2 * d if quadratic else d
     full = intercept and len(window) > width + 1
-    x_mat, y_vec = _design(window, quadratic, full)
-    rows, gram = x_mat.shape[0], None
-    if rows < x_mat.shape[1]:  # underdetermined: the row-space route needs X X^T
-        gram = window._gram
-        if gram is None or gram.shape[0] != rows:
-            gram = window._gram = np.empty((rows, rows))
     # The coefficients are a fresh array, so g and h are views of it.
-    coeffs, _ = solve_least_squares(x_mat, y_vec, gram)
+    coeffs, _ = solve_least_squares(*_design(window, quadratic, full))
     c = float(coeffs[width]) if full else (0.0 if intercept else None)
     h = coeffs[d:width] if quadratic else None
     return SurrogateFit(coeffs[:d], h, c, "pseudoinverse")

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -138,6 +139,32 @@ def test_compare_merges_methods(tmp_path, capsys):
     assert "tzo_mean" in header
 
 
+def test_compare_writes_one_manifest_per_column(tmp_path):
+    # Every column label of compare.csv, a repeated method's suffixed one
+    # included, gets a manifest that loads back as a --config to the
+    # ExperimentConfig that produced the column, flags applied.
+    configs = {
+        "l_reszo": write_config(tmp_path / "l.json"),
+        "tzo": write_config(
+            tmp_path / "t.json",
+            optimizer={"method": "tzo", "eta": 1e-4, "delta": 0.01, "iterations": 20},
+        ),
+        "l_reszo_2": write_config(tmp_path / "l2.json", base_seed=11),
+    }
+    out = tmp_path / "cmp"
+    argv = ["compare", "--configs", *map(str, configs.values()), "--output", str(out)]
+    assert main(argv + ["--stride", "2", "--trials", "1"]) == 0
+    header = (out / "compare.csv").read_text().splitlines()[0]
+    written = sorted(path.name for path in out.glob("*.json"))
+    assert written == sorted(f"manifest_{label}.json" for label in configs)
+    for label, path in configs.items():
+        assert f"{label}_mean" in header
+        expected = replace(
+            cli._load_config(str(path)), output_path=str(out), stride=2, trials=1
+        )
+        assert cli._load_config(str(out / f"manifest_{label}.json")) == expected
+
+
 def test_compare_rejects_mixed_benchmarks(tmp_path):
     cfg_a = write_config(tmp_path / "a.json")
     cfg_b = write_config(
@@ -240,7 +267,9 @@ def test_compare_stride_flag_subsamples_rows(tmp_path):
         argv = ["compare", "--configs", str(cfg_l), str(cfg_t), "--output", str(out)]
         assert main(argv + ["--stride", str(stride)]) == 0
         rows[stride] = (out / "compare.csv").read_text().splitlines()
-        assert json.loads((out / "manifest.json").read_text())["config"]["stride"] == stride
+        for label in ("l_reszo", "tzo"):
+            manifest = json.loads((out / f"manifest_{label}.json").read_text())
+            assert manifest["config"]["stride"] == stride
     assert rows[3] == rows[1][:1] + rows[1][1::3]
 
 

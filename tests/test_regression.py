@@ -157,45 +157,41 @@ class TestAssembly:
         np.testing.assert_array_equal(x_mat[0], [1.0, -1.0, 0.5, 0.5, 1.0])
 
     def test_quadratic_design_matches_plain_formula(self):
-        # Every design is written into the window's buffer in ring order;
-        # partial windows and a full window at every offset of its ring
-        # start give the plain formula's matrix bit for bit, the
-        # quadratic one with its half squares in one row block or in
-        # blocks of three rows, and callers get their own copy.  Scales
-        # down to 1e-160 put half squares in the subnormal range, where
-        # 0.5 * dx * dx and 0.5 * (dx * dx) can differ.
+        # Partial windows and a full window at every offset of its ring
+        # start give the plain formula's matrix bit for bit, in an array
+        # of the caller's own.  Scales down to 1e-160 put half squares in
+        # the subnormal range, where 0.5 * dx * dx and 0.5 * (dx * dx) can
+        # differ.
         d, m = 5, 7
-        for block_elements in (regression._BLOCK_ELEMENTS, 3 * d):
-            rng = make_rng(36)
-            offsets = set()
-            with mock.patch.object(regression, "_BLOCK_ELEMENTS", block_elements):
-                win = EvaluationWindow(m, d)
-                for i in range(2 * m + 3):
-                    p = rng.standard_normal(d) * 10.0 ** rng.integers(-160, 3)
-                    win.push(p, float(np.sin(p).sum()))
-                    if len(win) < 2:
-                        continue
-                    offsets.add(win._start)
-                    pts, vals = win.points(), win.values()
-                    deltas = pts - pts[-1]
-                    ref = np.hstack([deltas, 0.5 * deltas * deltas, np.ones((len(pts), 1))])
-                    x_mat, y_vec = assemble_quadratic_system(win)
-                    assert np.array_equal(x_mat.view(np.uint64), ref.view(np.uint64)), i
-                    np.testing.assert_array_equal(y_vec, vals - vals[-1])
-                    assert not np.shares_memory(x_mat, win._design)
-                    linear = {
-                        "intercept_centered": (
-                            np.hstack([deltas, np.ones((len(pts), 1))]), vals - vals[-1]
-                        ),
-                        "difference_no_intercept": (deltas[:-1], (vals - vals[-1])[:-1]),
-                    }
-                    for mode in REGRESSION_MODES:
-                        x_mat, y_vec = assemble_linear_system(win, mode)
-                        x_ref, y_ref = linear[mode]
-                        assert np.array_equal(x_mat.view(np.uint64), x_ref.view(np.uint64)), i
-                        np.testing.assert_array_equal(y_vec, y_ref)
-                        assert not np.shares_memory(x_mat, win._design)
-            assert offsets == set(range(m))
+        rng = make_rng(36)
+        offsets = set()
+        win = EvaluationWindow(m, d)
+        for i in range(2 * m + 3):
+            p = rng.standard_normal(d) * 10.0 ** rng.integers(-160, 3)
+            win.push(p, float(np.sin(p).sum()))
+            if len(win) < 2:
+                continue
+            offsets.add(win._start)
+            pts, vals = win.points(), win.values()
+            deltas = pts - pts[-1]
+            ref = np.hstack([deltas, 0.5 * deltas * deltas, np.ones((len(pts), 1))])
+            x_mat, y_vec = assemble_quadratic_system(win)
+            assert np.array_equal(x_mat.view(np.uint64), ref.view(np.uint64)), i
+            np.testing.assert_array_equal(y_vec, vals - vals[-1])
+            assert not np.shares_memory(x_mat, win._pts)
+            linear = {
+                "intercept_centered": (
+                    np.hstack([deltas, np.ones((len(pts), 1))]), vals - vals[-1]
+                ),
+                "difference_no_intercept": (deltas[:-1], (vals - vals[-1])[:-1]),
+            }
+            for mode in REGRESSION_MODES:
+                x_mat, y_vec = assemble_linear_system(win, mode)
+                x_ref, y_ref = linear[mode]
+                assert np.array_equal(x_mat.view(np.uint64), x_ref.view(np.uint64)), i
+                np.testing.assert_array_equal(y_vec, y_ref)
+                assert not np.shares_memory(x_mat, win._pts)
+        assert offsets == set(range(m))
 
     def test_quadratic_recovers_parabola(self):
         xs = np.array([-1.0, 0.5, 1.5, 2.0])
@@ -899,35 +895,6 @@ def test_quadratic_fit_matches_lstsq_on_recorded_ridge_window():
     assert np.linalg.norm(fit.h - ref_h) <= 1e-6 * np.linalg.norm(ref_h)
 
 
-def test_steady_push_and_quadratic_fit_allocate_no_m_by_m_temporaries():
-    # The quadratic fit's design, its contiguous differences and its row-
-    # space Gram X X^T live in the window: once they exist, a push and a
-    # fit at d=100, m=110 allocate less than one m x m array.  The largest
-    # allocation left is numpy's 8192-element (64 KB) iterator buffer for
-    # the broadcast subtraction of the newest point.  The LU solve's own
-    # copy of X X^T is malloc'd inside numpy's gufunc, which tracemalloc
-    # does not see.
-    d, m = 100, 110
-    rng = make_rng(89)
-    win = full_window(d, m, 89)
-    for _ in range(2):
-        p = rng.standard_normal(d)
-        win.push(p, float(np.sin(p).sum()))
-        fit_quadratic(win)
-    p = rng.standard_normal(d)
-    value = float(np.sin(p).sum())
-    tracemalloc.start()
-    try:
-        win.push(p, value)
-        fit = fit_quadratic(win)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    resid = residual_norm(fit, *assemble_quadratic_system(win))
-    assert resid <= 1e-6 * np.linalg.norm(win.values())
-    assert peak < m * m * 8, peak
-
-
 _FAR = 1e4
 
 
@@ -1015,8 +982,8 @@ def test_window_fits_match_lstsq_on_generated_streams(stream):
     d, capacity, extra, phases, seed = stream
     capacity = 2 + capacity % (d + 7)
     pushes, values = generated_stream(d, phases, seed)
-    # Small row blocks, so the blocked update and half squares cross block
-    # edges at these sizes as they do at d in the hundreds.
+    # Small row blocks, so the blocked moment update crosses block edges
+    # at these sizes as it does at d in the hundreds.
     with mock.patch.object(regression, "_BLOCK_ELEMENTS", d + 2 + extra):
         win = EvaluationWindow(capacity, d)
         for step, (p, v) in enumerate(zip(pushes, values)):

@@ -15,7 +15,10 @@ Rosenbrock d=20 add tzo, l_reszo and q_reszo runs, so every benchmark
 problem is covered.  Two ridge d=100 l_reszo runs, one per regression
 mode, are long enough that the window's moment sums are rebuilt from the
 window more than once, which none of the shorter runs reaches at
-d >= 100.  Each shipped ``configs/*.json``, loaded through
+d >= 100.  One ridge d=20 q_reszo run keeps a window of 50 points,
+more than 2d + 1, so its fits solve the full quadratic design by
+``lstsq``, where every other q_reszo window solves the reduced one.
+Each shipped ``configs/*.json``, loaded through
 ``experiment_from_dict``, adds one case: its trial 0 (seed and initial
 point), cut to ``window_m + 100`` iterations (baselines: 200) and
 diagnosed when the config records diagnostics.  That trial is also
@@ -157,6 +160,10 @@ PROBLEMS = {
 # ridge100's matrix runs end after 90 fits, before the moment sums are
 # first rebuilt; these l_reszo runs cross two rebuilds or more.
 LONG_RIDGE100_ITERATIONS = 700
+# Every matrix q_reszo window holds at most 2d + 1 points, so its fits
+# solve the reduced design; this ridge20 window is larger, so its fits
+# solve the full (m, 2d + 1) design by lstsq.
+FULL_QUADRATIC_WINDOW_M = 50
 DIRECTIONS = ("sphere", "gaussian")
 # A step size far past stability, so the run diverges.
 DIVERGING_ETA = 1e3
@@ -166,7 +173,8 @@ EXPORTS = ("curve.csv", "trials.csv")
 
 def cases():
     """(name, BenchmarkSpec, OptimizerConfig, diagnosed) for the fixed
-    matrix, the long ridge100 runs, then for each shipped config."""
+    matrix, the long ridge100 runs, the full quadratic design run, then
+    for each shipped config."""
     for pname, prob in PROBLEMS.items():
         spec = prob["spec"]
         for method in prob["steps"]:
@@ -222,6 +230,17 @@ def cases():
             **prob["window"],
         )
         yield f"ridge100/l_reszo/long/{mode}", prob["spec"], cfg, True
+    prob = PROBLEMS["ridge20"]
+    eta, delta = prob["steps"]["q_reszo"]
+    cfg = OptimizerConfig(
+        method="q_reszo",
+        eta=eta,
+        delta=delta,
+        iterations=prob["iterations"],
+        seed=7,
+        **dict(prob["window"], window_m=FULL_QUADRATIC_WINDOW_M),
+    )
+    yield "ridge20/q_reszo/full_design", prob["spec"], cfg, True
     for name, exp in shipped_configs():
         regression = exp.optimizer.method in REGRESSION_METHODS
         iterations = exp.optimizer.window_m + 100 if regression else 200
