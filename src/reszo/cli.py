@@ -65,9 +65,9 @@ def _apply_overrides(exp: ExperimentConfig, args) -> ExperimentConfig:
     return replace(exp, **updates) if updates else exp
 
 
-def _add_common(sub):
+def _add_common(sub, trials_help="override trial count"):
     sub.add_argument("--seed", type=int, default=None, help="override base_seed")
-    sub.add_argument("--trials", type=int, default=None, help="override trial count")
+    sub.add_argument("--trials", type=int, default=None, help=trials_help)
     sub.add_argument("--output", type=str, default=None, help="override output directory")
 
 
@@ -94,13 +94,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--stride", type=int, default=None, help="export row subsampling")
     _add_common(p_run)
 
-    p_grid = sub.add_parser("grid", help="grid-search step size and smoothing radius")
+    p_grid = sub.add_parser(
+        "grid",
+        help="grid-search step size and smoothing radius",
+        description="Score every (eta, delta) cell of the grid over --trials trials, "
+        "10 by default; the config's trials is not used.",
+    )
     p_grid.add_argument("--config", required=True)
     p_grid.add_argument("--eta", required=True, type=_float_list, help="comma list of step sizes")
     p_grid.add_argument(
         "--delta", required=True, type=_float_list, help="comma list of smoothing radii"
     )
-    _add_common(p_grid)
+    _add_common(p_grid, trials_help="trials per grid cell (default 10, not the config's)")
 
     p_cd = sub.add_parser(
         "cd-ratio", help="run with diagnostics and report gradient-error ratio statistics"

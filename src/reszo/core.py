@@ -113,8 +113,8 @@ class BlackBoxObjective:
     ):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
-        if smoothness_L is not None and smoothness_L <= 0:
-            raise ValueError("smoothness_L must be positive")
+        if smoothness_L is not None and not 0.0 < smoothness_L < np.inf:
+            raise ValueError(f"smoothness_L must be positive and finite, got {smoothness_L}")
         self.dimension = int(dimension)
         self._fn = fn
         self.analytic_gradient = analytic_gradient

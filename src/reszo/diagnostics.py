@@ -13,7 +13,6 @@ from typing import List, Optional
 import numpy as np
 
 from .core import BlackBoxObjective
-from .optimizers import RunTrace
 
 
 @dataclass
@@ -44,8 +43,8 @@ def finite_difference_gradient(f, x: np.ndarray, h: Optional[float] = None) -> n
     if h is None:
         h = 1e-5 * (1.0 + float(np.max(np.abs(x))))
     h = float(h)
-    if h <= 0:
-        raise ValueError("finite-difference step must be positive")
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"finite-difference step must be positive and finite, got {h}")
     evalf = f.oracle_evaluate if isinstance(f, BlackBoxObjective) else f
     grad = np.empty_like(x)
     probe = x.copy()
@@ -74,8 +73,8 @@ def cd_ratio(
     Returns None instead of fabricating a value when the denominator
     vanishes (oldest and newest perturbed points coincide).
     """
-    if smoothness <= 0:
-        raise ValueError("smoothness constant must be positive")
+    if not 0.0 < smoothness < np.inf:
+        raise ValueError(f"smoothness constant must be positive and finite, got {smoothness}")
     denom = 0.5 * smoothness * float(np.linalg.norm(xhat_oldest - xhat_t))
     if denom == 0.0:
         return None
@@ -85,11 +84,14 @@ def cd_ratio(
 class DiagnosticsCollector:
     """Observer that ``run_optimizer`` threads through a regression-method run.
 
-    Computes the true gradient analytically when available and by
-    central differences on the oracle channel otherwise.  The cd ratio
-    is computed when the driver hands ``observe`` the window's oldest
-    perturbed point (l_reszo runs) and the objective has a known
-    smoothness constant.
+    The driver calls ``observe`` once per post-warm iteration and writes
+    the returned record's ``xi_norm`` and ``cd_ratio`` (NaN for None)
+    into that iteration's row of the trace; ``records`` keeps every
+    record in call order.  Computes the true gradient analytically when
+    available and by central differences on the oracle channel
+    otherwise.  The cd ratio is computed when the driver hands
+    ``observe`` the window's oldest perturbed point (l_reszo runs) and
+    the objective has a known smoothness constant.
     """
 
     def __init__(self, obj: BlackBoxObjective):
@@ -108,7 +110,9 @@ class DiagnosticsCollector:
         such as span tracers, still resolve it.
         """
 
-    def observe(self, t, x_t, xhat_t, estimate, xhat_oldest):
+    def observe(self, t, x_t, xhat_t, estimate, xhat_oldest) -> DiagnosticsRecord:
+        """Record iteration ``t`` and return its record, which the driver
+        writes into row ``t`` of the trace's diagnostics columns."""
         grad_x = self._gradient(x_t)
         xi_norm = float(np.linalg.norm(estimate - grad_x))
         grad_norm = float(np.linalg.norm(grad_x))
@@ -117,21 +121,9 @@ class DiagnosticsCollector:
         if xhat_oldest is not None and smoothness is not None:
             grad_xhat = self._gradient(xhat_t)
             ratio = cd_ratio(estimate, grad_xhat, smoothness, xhat_t, xhat_oldest)
-        self.records.append(DiagnosticsRecord(t, xi_norm, grad_norm, ratio))
-
-    def attach_to_trace(self, trace: RunTrace):
-        """Copy the collected series onto the trace, NaN where absent."""
-        n = len(trace)
-        xi = np.full(n, np.nan)
-        cd = np.full(n, np.nan)
-        base = int(trace.iterations[0]) if n else 0
-        for rec in self.records:
-            idx = rec.iteration - base
-            if 0 <= idx < n:
-                xi[idx] = rec.xi_norm
-                cd[idx] = np.nan if rec.cd_ratio is None else rec.cd_ratio
-        trace.xi_norms = xi
-        trace.cd_ratios = cd
+        record = DiagnosticsRecord(t, xi_norm, grad_norm, ratio)
+        self.records.append(record)
+        return record
 
 
 def cd_statistics(values) -> dict:

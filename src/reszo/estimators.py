@@ -29,8 +29,8 @@ class EstimateOutcome:
 
 def _check_delta(delta: float) -> float:
     delta = float(delta)
-    if delta <= 0:
-        raise ValueError(f"smoothing radius must be positive, got {delta}")
+    if not 0.0 < delta < np.inf:
+        raise ValueError(f"smoothing radius must be positive and finite, got {delta}")
     return delta
 
 

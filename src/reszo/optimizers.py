@@ -112,9 +112,12 @@ class OptimizerConfig:
 class RunTrace:
     """Per-iteration scalars for one optimizer run plus the final iterate.
 
-    Diagnostics columns (``xi_norms``, ``cd_ratios``) are attached only
-    when the run was observed by a diagnostics collector; entries are
-    NaN where undefined.
+    ``run_optimizer`` fills every column in place, one row per iteration,
+    and keeps the rows the run reached.  The diagnostics columns
+    (``xi_norms``, ``cd_ratios``) exist only when a collector observed
+    the run; each post-warm row holds what its ``observe`` call returned,
+    and entries are NaN where undefined (the warm rows, and a cd ratio
+    the collector did not compute).
     """
 
     iterations: np.ndarray
@@ -137,41 +140,19 @@ class RunTrace:
         return self.xi_norms is not None
 
 
-class _TraceBuilder:
-    """Per-iteration scalars; finalize attaches the observer's columns."""
-
-    def __init__(self, diagnostics=None):
-        self.diagnostics = diagnostics
-        self.iterations = []
-        self.queries = []
-        self.f_values = []
-        self.grad_est_norms = []
-        self.deltas = []
-        self.solver_paths = []
-
-    def add(self, t, queries, f_value, grad_norm, delta, path):
-        self.iterations.append(t)
-        self.queries.append(queries)
-        self.f_values.append(f_value)
-        self.grad_est_norms.append(grad_norm)
-        self.deltas.append(delta)
-        self.solver_paths.append(path)
-
-    def finalize(self, x, diverged=False, divergence_iteration=None) -> RunTrace:
-        trace = RunTrace(
-            iterations=np.asarray(self.iterations, dtype=np.int64),
-            queries=np.asarray(self.queries, dtype=np.int64),
-            f_values=np.asarray(self.f_values, dtype=np.float64),
-            grad_est_norms=np.asarray(self.grad_est_norms, dtype=np.float64),
-            deltas=np.asarray(self.deltas, dtype=np.float64),
-            solver_paths=np.asarray(self.solver_paths, dtype=np.int8),
-            final_x=np.asarray(x, dtype=np.float64).copy(),
-            diverged=diverged,
-            divergence_iteration=divergence_iteration,
-        )
-        if self.diagnostics is not None:
-            self.diagnostics.attach_to_trace(trace)
-        return trace
+# The dtype of each column run_optimizer fills, in RunTrace field order;
+# ``iterations`` is the row index.  The columns are Python lists, which
+# take a value faster than a numpy array does, converted once when the
+# run ends.
+_COLUMN_DTYPES = {
+    "queries": np.int64,
+    "f_values": np.float64,
+    "grad_est_norms": np.float64,
+    "deltas": np.float64,
+    "solver_paths": np.int8,
+    "xi_norms": np.float64,
+    "cd_ratios": np.float64,
+}
 
 
 def adaptive_delta(eta: float, g_prev: np.ndarray, delta_min: float = 0.0) -> float:
@@ -179,18 +160,30 @@ def adaptive_delta(eta: float, g_prev: np.ndarray, delta_min: float = 0.0) -> fl
     return max(eta * math.sqrt(g_prev @ g_prev), delta_min)
 
 
-def _diverge(builder, x, t, reason):
-    trace = builder.finalize(x, diverged=True, divergence_iteration=t)
+def _trace(columns, rows, x, divergence_iteration=None) -> RunTrace:
+    """The RunTrace of the first ``rows`` rows of ``columns``."""
+    return RunTrace(
+        iterations=np.arange(rows, dtype=np.int64),
+        final_x=np.array(x, dtype=np.float64),
+        diverged=divergence_iteration is not None,
+        divergence_iteration=divergence_iteration,
+        **{name: np.asarray(col[:rows], _COLUMN_DTYPES[name]) for name, col in columns.items()},
+    )
+
+
+def _diverge(columns, rows, x, t, reason):
+    trace = _trace(columns, rows, x, divergence_iteration=t)
     raise DivergenceError(f"run diverged at iteration {t}: {reason}", trace=trace)
 
 
-def _guarded_evaluate(obj, xh, x, builder, t):
-    """f(xh); a failure diverges the run with the iterate ``x`` as its
-    final point, as an estimator-phase failure does."""
+def _guarded_evaluate(obj, xh, x, columns, t):
+    """f(xh); a failure diverges the run with its first ``t`` rows and
+    the iterate ``x`` as its final point, as an estimator-phase failure
+    does."""
     try:
         return obj.evaluate(xh)
     except EvaluationFailureError as exc:
-        _diverge(builder, x, t, str(exc))
+        _diverge(columns, t, x, t, str(exc))
 
 
 def run_optimizer(
@@ -208,9 +201,10 @@ def run_optimizer(
     seed evaluation before iteration 0.  ``diagnostics`` observes each
     surrogate-fit step, with the window's oldest perturbed point for
     l_reszo (its cd ratio) and None for q_reszo.  Raises
-    DivergenceError, with the partial trace (and its diagnostics
-    columns, when observed) attached, on a failed evaluation or a
-    runaway value.
+    DivergenceError on a failed evaluation or a runaway value, with the
+    partial trace attached: the rows before a failed evaluation, or up
+    to and including the runaway one, diagnostics columns included when
+    observed.
     """
     method = cfg.method
     regression = method in REGRESSION_METHODS
@@ -222,7 +216,6 @@ def run_optimizer(
     x = np.array(x0, dtype=np.float64)
     if x.shape != (d,):
         raise ValueError(f"x0 must have shape ({d},)")
-    builder = _TraceBuilder(diagnostics)
     q0 = obj.query_count
     if regression:
         n_estimator, eta_e, delta_e = cfg.window_m, cfg.warm_eta, cfg.warm_delta
@@ -231,6 +224,10 @@ def run_optimizer(
     else:
         n_estimator, eta_e, delta_e = cfg.iterations, cfg.eta, cfg.delta
         window = None
+    columns = {name: [math.nan] * cfg.iterations for name in _COLUMN_DTYPES}
+    queries, f_values, grad_norms, deltas, paths, xi_norms, cd_ratios = columns.values()
+    if diagnostics is None:
+        del columns["xi_norms"], columns["cd_ratios"]
 
     prev = None
     if method not in ("szo", "tzo"):
@@ -238,7 +235,7 @@ def run_optimizer(
         # ages out by the time the regression phase starts.
         u = sampler(rng, d)
         xh = x + delta_e * u
-        prev = _guarded_evaluate(obj, xh, x, builder, 0)
+        prev = _guarded_evaluate(obj, xh, x, columns, 0)
         if window is not None:
             window.push(xh, prev)
 
@@ -257,7 +254,7 @@ def run_optimizer(
                     out = rszo_estimate(obj, x, u, delta_t, prev)
                     prev = out.last_value
             except EvaluationFailureError as exc:
-                _diverge(builder, x, t, str(exc))
+                _diverge(columns, t, x, t, str(exc))
             estimate = out.gradient_estimate
             fv = out.last_value
             if window is not None:
@@ -268,7 +265,7 @@ def run_optimizer(
             else:
                 delta_t = cfg.delta
             xh = x + delta_t * u
-            fv = _guarded_evaluate(obj, xh, x, builder, t)
+            fv = _guarded_evaluate(obj, xh, x, columns, t)
             window.push(xh, fv)
             if method == "q_reszo":
                 fit = fit_quadratic(window)
@@ -281,10 +278,17 @@ def run_optimizer(
             path = SOLVER_PATH_CODES[fit.solver_path]
             if diagnostics is not None:
                 oldest = window.oldest_point() if method == "l_reszo" else None
-                diagnostics.observe(t, x, xh, estimate, oldest)
-        builder.add(t, obj.query_count - q0, fv, math.sqrt(estimate @ estimate), delta_t, path)
+                record = diagnostics.observe(t, x, xh, estimate, oldest)
+                xi_norms[t] = record.xi_norm
+                if record.cd_ratio is not None:
+                    cd_ratios[t] = record.cd_ratio
+        queries[t] = obj.query_count - q0
+        f_values[t] = fv
+        grad_norms[t] = math.sqrt(estimate @ estimate)
+        deltas[t] = delta_t
+        paths[t] = path
         if abs(fv) > DIVERGENCE_THRESHOLD:
-            _diverge(builder, x, t, f"|f| exceeded {DIVERGENCE_THRESHOLD:g}")
+            _diverge(columns, t + 1, x, t, f"|f| exceeded {DIVERGENCE_THRESHOLD:g}")
         x = x - eta_t * estimate
         g_prev = estimate
-    return builder.finalize(x)
+    return _trace(columns, cfg.iterations, x)

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from unittest import mock
 
 import pytest
 
+import reszo
 from reszo import cli, experiment_from_dict, export_results, run_experiment
 from reszo.cli import main
 
@@ -81,6 +85,48 @@ def test_library_export_reruns_byte_identically_from_its_manifest(tmp_path):
     assert main(["run", "--config", str(lib / "manifest.json"), "--output", str(rerun)]) == 0
     for csv_name in ("curve.csv", "trials.csv"):
         assert (lib / csv_name).read_bytes() == (rerun / csv_name).read_bytes()
+
+
+@pytest.mark.parametrize("method", ["l_reszo", "q_reszo"])
+def test_run_is_byte_identical_at_one_and_two_blas_threads(tmp_path, method):
+    # The README's reproducibility claim at a size where OpenBLAS does
+    # not split its calls across threads: ridge d=20, diagnosed.
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        benchmark={"problem": "ridge", "d": 20, "N": 200, "seed": 3},
+        optimizer={
+            "method": method,
+            "eta": 1e-4,
+            "delta": 0.01,
+            "iterations": 100,
+            "window_m": 30,
+            "warm_eta": 1e-6,
+            "warm_delta": 0.1,
+        },
+        record_diagnostics=True,
+    )
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(reszo.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    seen = []
+    for threads in (1, 2):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+        env["PYTHONPATH"] = package_root + (os.pathsep + path if path else "")
+        out = tmp_path / f"threads{threads}"
+        run = subprocess.run(
+            [sys.executable, "-m", "reszo", "run", "--config", str(cfg), "--output", str(out)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert run.returncode == 0, run.stderr
+        seen.append(json.loads((out / "manifest.json").read_text())["numeric"]["blas_threads"])
+    for csv_name in ("curve.csv", "trials.csv"):
+        one = (tmp_path / "threads1" / csv_name).read_bytes()
+        assert one == (tmp_path / "threads2" / csv_name).read_bytes(), csv_name
+    # Each child ran at the count it was given, where numpy has loaded
+    # OpenBLAS and there are two cores to thread on.
+    if seen[0] is not None and (os.cpu_count() or 1) >= 2:
+        assert seen == [1, 2]
 
 
 def test_flag_overrides_change_seed(tmp_path):

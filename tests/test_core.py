@@ -11,8 +11,13 @@ from reszo import (
     EvaluationWindow,
     ExperimentConfig,
     OptimizerConfig,
+    cd_ratio,
+    finite_difference_gradient,
     make_objective,
     make_rng,
+    rszo_estimate,
+    szo_estimate,
+    tzo_estimate,
 )
 
 _VALID_CONFIGS = (
@@ -51,6 +56,30 @@ def test_integer_field_rejects_a_non_integer(config, name, value):
 def test_integer_field_accepts_a_numpy_integer(config, name):
     value = np.int64(getattr(config, name))
     assert getattr(replace(config, **{name: value}), name) == value
+
+
+_X, _U = np.zeros(2), np.array([0.6, 0.8])
+# Each positive real parameter, as one call on a counted objective.
+_RANGE_CHECKS = {
+    "szo_delta": lambda obj, v: szo_estimate(obj, _X, _U, v),
+    "rszo_delta": lambda obj, v: rszo_estimate(obj, _X, _U, v, 0.0),
+    "tzo_delta": lambda obj, v: tzo_estimate(obj, _X, _U, v),
+    "smoothness_L": lambda obj, v: BlackBoxObjective(2, obj._fn, smoothness_L=v),
+    "cd_ratio_smoothness": lambda obj, v: cd_ratio(_U, _X, v, _X, _U),
+    "finite_difference_step": lambda obj, v: finite_difference_gradient(obj, _U, h=v),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("check", sorted(_RANGE_CHECKS))
+def test_positive_parameter_rejects_non_finite_or_non_positive(check, value):
+    # A ValueError naming the parameter, raised before any query and
+    # before a NaN or infinity reaches the objective.
+    obj = BlackBoxObjective(2, lambda x: float(x @ x))
+    with pytest.raises(ValueError, match=f"must be positive and finite, got {value}"):
+        _RANGE_CHECKS[check](obj, value)
+    assert obj.query_count == 0
 
 
 def test_rosenbrock_origin_is_zero():

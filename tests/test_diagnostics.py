@@ -143,6 +143,29 @@ class TestAttachDiagnostics:
         assert not np.any(np.isfinite(trace_q.cd_ratios))
         assert np.any(np.isfinite(trace_q.xi_norms))
 
+    def test_trace_rows_are_the_returned_records(self):
+        # observe hands back the record it appends; the driver writes
+        # that record into the iteration's row, NaN for a None ratio.
+        spec = BenchmarkSpec("ridge", d=4, n_samples=20, seed=6)
+        obj = make_objective(spec)
+        collector = DiagnosticsCollector(obj)
+        returned = []
+        observe = collector.observe
+
+        def spy(*args):
+            returned.append(observe(*args))
+            return returned[-1]
+
+        collector.observe = spy
+        cfg = reszo_cfg(window_m=6, iterations=18, eta=1e-5)
+        trace = run_optimizer(obj, cfg, np.zeros(4), diagnostics=collector)
+        assert len(returned) == len(collector.records) == cfg.iterations - cfg.window_m
+        assert all(a is b for a, b in zip(returned, collector.records))
+        assert [r.iteration for r in returned] == list(range(cfg.window_m, cfg.iterations))
+        expected_cd = [np.nan if r.cd_ratio is None else r.cd_ratio for r in returned]
+        np.testing.assert_array_equal(trace.xi_norms[cfg.window_m :], [r.xi_norm for r in returned])
+        np.testing.assert_array_equal(trace.cd_ratios[cfg.window_m :], expected_cd)
+
     def test_requires_regression_method(self):
         cfg = OptimizerConfig(method="szo", eta=1e-3, delta=0.1, iterations=5)
         obj = affine_objective(2)

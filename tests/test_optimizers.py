@@ -8,6 +8,7 @@ from reszo import (
     BenchmarkSpec,
     BlackBoxObjective,
     DivergenceError,
+    DiagnosticsCollector,
     OptimizerConfig,
     adaptive_delta,
     make_objective,
@@ -300,6 +301,103 @@ def test_seed_evaluation_failure_records_x0(method):
     trace = err.value.trace
     assert trace.diverged and trace.divergence_iteration == 0 and len(trace) == 0
     np.testing.assert_array_equal(trace.final_x, x0)
+
+
+class TestTraceColumns:
+    """Every column of a trace has one row per iteration the run reached."""
+
+    DTYPES = {
+        "iterations": np.int64,
+        "queries": np.int64,
+        "f_values": np.float64,
+        "grad_est_norms": np.float64,
+        "deltas": np.float64,
+        "solver_paths": np.int8,
+    }
+    DIAGNOSTICS = ("xi_norms", "cd_ratios")
+    # How each run ends: (eta, first counted call that returns NaN or
+    # None, expected rows).  The seed evaluation is call 1 and iteration
+    # t is call t + 2; warm iterations are 0-5.  A step of 1e3 crosses
+    # |f| > 1e12 a few fits past the warm phase, in the row it keeps.
+    ENDINGS = {
+        "finished": (1e-3, None, 20),
+        "threshold": (1e3, None, None),
+        "fails_at_seed": (1e-3, 1, 0),
+        "fails_in_warm": (1e-3, 5, 3),
+        "fails_in_fit": (1e-3, 12, 10),
+    }
+
+    @staticmethod
+    def objective(fail_from):
+        """|x|^2 with its gradient and L, NaN from call ``fail_from`` on."""
+
+        def value(x):
+            if fail_from is not None and obj.query_count >= fail_from:
+                return float("nan")
+            return float(x @ x)
+
+        obj = BlackBoxObjective(
+            4, value, analytic_gradient=lambda x: 2.0 * x, smoothness_L=2.0
+        )
+        return obj
+
+    def run(self, method, ending, diagnosed):
+        eta, fail_from, _ = self.ENDINGS[ending]
+        obj = self.objective(fail_from)
+        cfg = reszo_cfg(method=method, eta=eta, window_m=6, iterations=20)
+        collector = DiagnosticsCollector(obj) if diagnosed else None
+        try:
+            return run_optimizer(obj, cfg, np.full(4, 0.5), diagnostics=collector)
+        except DivergenceError as exc:
+            return exc.trace
+
+    @pytest.mark.parametrize("diagnosed", [False, True], ids=["plain", "diagnosed"])
+    @pytest.mark.parametrize("ending", list(ENDINGS))
+    @pytest.mark.parametrize("method", ["l_reszo", "q_reszo"])
+    def test_column_contract(self, method, ending, diagnosed):
+        trace = self.run(method, ending, diagnosed)
+        rows = len(trace)
+        expected_rows = self.ENDINGS[ending][2]
+        if ending == "finished":
+            assert not trace.diverged and trace.divergence_iteration is None
+        elif ending == "threshold":
+            assert trace.diverged and rows == trace.divergence_iteration + 1
+            assert trace.divergence_iteration >= 6 and abs(trace.f_values[-1]) > 1e12
+        else:
+            assert trace.diverged and rows == trace.divergence_iteration
+        if expected_rows is not None:
+            assert rows == expected_rows
+        columns = dict(self.DTYPES)
+        if diagnosed:
+            columns.update(dict.fromkeys(self.DIAGNOSTICS, np.float64))
+        else:
+            assert trace.xi_norms is None and trace.cd_ratios is None
+        assert trace.has_diagnostics == diagnosed
+        for name, dtype in columns.items():
+            column = getattr(trace, name)
+            assert column.shape == (rows,) and column.dtype == dtype, name
+            assert column.flags.c_contiguous, name
+        np.testing.assert_array_equal(trace.iterations, np.arange(rows))
+        if diagnosed:
+            warm = min(rows, 6)
+            assert np.all(np.isnan(trace.xi_norms[:warm]))
+            assert np.all(np.isnan(trace.cd_ratios[:warm]))
+            assert np.all(np.isfinite(trace.xi_norms[warm:]))
+            fit_cd = trace.cd_ratios[warm:]
+            assert np.all(np.isfinite(fit_cd) if method == "l_reszo" else np.isnan(fit_cd))
+
+    @pytest.mark.parametrize("diagnosed", [False, True], ids=["plain", "diagnosed"])
+    @pytest.mark.parametrize("ending", ["fails_in_warm", "fails_in_fit"])
+    @pytest.mark.parametrize("method", ["l_reszo", "q_reszo"])
+    def test_failed_run_keeps_the_finished_runs_rows(self, method, ending, diagnosed):
+        # Up to the failing call both objectives agree, so the rows kept
+        # are the finished run's first rows, bit for bit.
+        trace = self.run(method, ending, diagnosed)
+        finished = self.run(method, "finished", diagnosed)
+        names = list(self.DTYPES) + (list(self.DIAGNOSTICS) if diagnosed else [])
+        for name in names:
+            kept = getattr(trace, name)
+            assert kept.tobytes() == getattr(finished, name)[: len(kept)].tobytes(), name
 
 
 def test_gaussian_direction_mode_runs_and_differs():

@@ -18,10 +18,15 @@ window more than once, which none of the shorter runs reaches at
 d >= 100.  One ridge d=20 q_reszo run keeps a window of 50 points,
 more than 2d + 1, so its fits solve the full quadratic design by
 ``lstsq``, where every other q_reszo window solves the reduced one.
-Each shipped ``configs/*.json``, loaded through
-``experiment_from_dict``, adds one case: its trial 0 (seed and initial
-point), cut to ``window_m + 100`` iterations (baselines: 200) and
-diagnosed when the config records diagnostics.  That trial is also
+Six diagnosed ridge d=20 runs, l_reszo and q_reszo, diverge by an
+evaluation failure where every other diverging case crosses the ``|f|``
+threshold: their objective returns NaN from a given counted call on, at
+the seed evaluation, in the warm phase or in the fit phase, so their
+traces keep only the rows before the failed iteration.  Each shipped
+``configs/*.json``, loaded through ``experiment_from_dict``, adds one
+case: its trial 0 (seed and initial point), cut to ``window_m + 100``
+iterations (baselines: 200) and diagnosed when the config records
+diagnostics.  That trial is also
 exported through ``export_results`` as the experiment's only trial,
 under the config as loaded (its ``stride`` included).  The JSON records,
 per case and per ``RunTrace`` array, its sha256 and its raw bytes, and
@@ -164,6 +169,16 @@ LONG_RIDGE100_ITERATIONS = 700
 # solve the reduced design; this ridge20 window is larger, so its fits
 # solve the full (m, 2d + 1) design by lstsq.
 FULL_QUADRATIC_WINDOW_M = 50
+# The counted call from which a failing case's objective returns NaN,
+# per phase: ridge20's seed evaluation is call 1 and iteration t is call
+# t + 2, so these fail at the seed, at warm iteration 9 and at iteration
+# 39, after nine fits.
+FAILING_FROM = {"seed": 1, "warm": 11, "fit": 41}
+FAILING = {
+    f"ridge20/{method}/fails_in_{phase}": call
+    for method in REGRESSION_METHODS
+    for phase, call in FAILING_FROM.items()
+}
 DIRECTIONS = ("sphere", "gaussian")
 # A step size far past stability, so the run diverges.
 DIVERGING_ETA = 1e3
@@ -173,8 +188,8 @@ EXPORTS = ("curve.csv", "trials.csv")
 
 def cases():
     """(name, BenchmarkSpec, OptimizerConfig, diagnosed) for the fixed
-    matrix, the long ridge100 runs, the full quadratic design run, then
-    for each shipped config."""
+    matrix, the long ridge100 runs, the full quadratic design run, the
+    runs that fail an evaluation, then for each shipped config."""
     for pname, prob in PROBLEMS.items():
         spec = prob["spec"]
         for method in prob["steps"]:
@@ -241,6 +256,18 @@ def cases():
         **dict(prob["window"], window_m=FULL_QUADRATIC_WINDOW_M),
     )
     yield "ridge20/q_reszo/full_design", prob["spec"], cfg, True
+    for name in FAILING:
+        method = name.split("/")[1]
+        eta, delta = prob["steps"][method]
+        cfg = OptimizerConfig(
+            method=method,
+            eta=eta,
+            delta=delta,
+            iterations=prob["iterations"],
+            seed=7,
+            **prob["window"],
+        )
+        yield name, prob["spec"], cfg, True
     for name, exp in shipped_configs():
         regression = exp.optimizer.method in REGRESSION_METHODS
         iterations = exp.optimizer.window_m + 100 if regression else 200
@@ -252,6 +279,12 @@ def shipped_configs():
     """(case name, ExperimentConfig as loaded) for each ``configs/*.json``."""
     for path in sorted(CONFIGS.glob("*.json")):
         yield f"config/{path.stem}", experiment_from_dict(json.loads(path.read_text()))
+
+
+def fail_from(obj, call):
+    """Make ``obj`` return NaN from its ``call``-th counted evaluation on."""
+    fn = obj._fn
+    obj._fn = lambda x: float("nan") if obj.query_count >= call else fn(x)
 
 
 def run_case(obj, spec, cfg, diagnosed):
@@ -299,6 +332,8 @@ def collect():
     configs = dict(shipped_configs())
     for name, spec, cfg, diagnosed in cases():
         obj = make_objective(spec)
+        if name in FAILING:
+            fail_from(obj, FAILING[name])
         trace = run_case(obj, spec, cfg, diagnosed)
         arrays = {
             key: encode(getattr(trace, key))
